@@ -3,8 +3,9 @@
 //! role NeMoFinder plays upstream of LaMoFinder.
 
 use crate::motif::Motif;
-use crate::nemo::{grow_frequent_subgraphs, GrowthConfig};
-use crate::uniqueness::{uniqueness_scores, UniquenessConfig};
+use crate::nemo::{grow_frequent_subgraphs, grow_frequent_subgraphs_supervised, GrowthConfig};
+use crate::uniqueness::{uniqueness_scores_supervised, UniquenessConfig};
+use par_util::{Interrupted, RunContext};
 use ppi_graph::Graph;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -63,8 +64,25 @@ impl MotifFinder {
     }
 
     /// Find repeated-and-unique motifs in `network`.
+    ///
+    /// Uninterruptible entry point: runs [`MotifFinder::find_supervised`]
+    /// under a passive [`RunContext`].
     pub fn find(&self, network: &Graph) -> (Vec<Motif>, FinderReport) {
-        let growth = grow_frequent_subgraphs(network, &self.config.growth);
+        self.find_supervised(network, &RunContext::unbounded())
+            .expect("a passive context without injected faults never interrupts the finder")
+    }
+
+    /// [`MotifFinder::find`] under `ctx`: growth and the null model both
+    /// run supervised. An interruption in either stage returns
+    /// [`Interrupted`] without a checkpoint; resume growth alone with
+    /// [`crate::resume_growth`].
+    pub fn find_supervised(
+        &self,
+        network: &Graph,
+        ctx: &RunContext,
+    ) -> Result<(Vec<Motif>, FinderReport), Interrupted<()>> {
+        let growth = grow_frequent_subgraphs_supervised(network, &self.config.growth, ctx)
+            .map_err(|e| e.map_checkpoint(|_| ()))?;
         let mut report = FinderReport {
             frequent_classes: growth.classes.len(),
             motifs_found: 0,
@@ -77,7 +95,8 @@ impl MotifFinder {
             .map(|c| (&c.pattern, c.frequency))
             .collect();
         let mut rng = SmallRng::seed_from_u64(self.config.seed);
-        let scores = uniqueness_scores(network, &patterns, &self.config.uniqueness, &mut rng);
+        let scores =
+            uniqueness_scores_supervised(network, &patterns, &self.config.uniqueness, &mut rng, ctx)?;
 
         let motifs: Vec<Motif> = growth
             .classes
@@ -92,7 +111,7 @@ impl MotifFinder {
             })
             .collect();
         report.motifs_found = motifs.len();
-        (motifs, report)
+        Ok((motifs, report))
     }
 
     /// Find repeated motifs only (skip uniqueness; every frequent class

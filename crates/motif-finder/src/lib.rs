@@ -9,7 +9,7 @@
 //! * [`subgraph_match`] — capped induced-pattern counting in large
 //!   networks;
 //! * [`uniqueness`] — frequency comparison against degree-matched
-//!   randomized networks (parallelized);
+//!   randomized networks (parallel and supervised);
 //! * [`directed`] — directed motif mining for regulatory networks (the
 //!   paper's future-work extension);
 //! * [`finder`] — the end-to-end [`MotifFinder`].
@@ -38,5 +38,7 @@ pub use nemo::{
     grow_frequent_subgraphs, grow_frequent_subgraphs_supervised, resume_growth, GrowthCheckpoint,
     GrowthConfig, GrowthReport,
 };
-pub use subgraph_match::{count_occurrences, count_occurrences_capped, CountResult};
-pub use uniqueness::{uniqueness_scores, UniquenessConfig};
+pub use subgraph_match::{
+    count_occurrences, count_occurrences_capped, CountResult, NullNet, PatternPlan,
+};
+pub use uniqueness::{uniqueness_scores, uniqueness_scores_supervised, UniquenessConfig};

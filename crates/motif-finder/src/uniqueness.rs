@@ -5,11 +5,15 @@
 //! occurrence count does not exceed its count in the real network. Each
 //! randomized network only needs to answer "does the pattern reach the
 //! real count?", so the per-pattern counting is capped at that count —
-//! usually a very early exit. Randomized networks are processed in
-//! parallel with crossbeam scoped threads.
+//! usually a very early exit. Every pattern is compiled once into a
+//! [`PatternPlan`] and every randomized network once into a [`NullNet`];
+//! supervised workers ([`par_util::run_supervised`]) pull randomized
+//! networks from a shared queue.
 
-use crate::subgraph_match::count_occurrences_capped;
-use par_util::{resolve_threads, split_chunks};
+use crate::subgraph_match::{NullNet, PatternPlan};
+use par_util::{
+    faultpoint, resolve_threads, run_supervised, Interrupted, PoolOutcome, RunContext, WorkQueue,
+};
 use ppi_graph::random::degree_preserving_shuffle;
 use ppi_graph::Graph;
 use rand::rngs::SmallRng;
@@ -50,72 +54,98 @@ impl Default for UniquenessConfig {
 /// randomized networks reach that cap quickly; a search that exhausts
 /// its node budget instead was struggling to find copies at all, so the
 /// partial count (almost always far below the cap) decides.
+///
+/// Uninterruptible entry point: runs [`uniqueness_scores_supervised`]
+/// under a passive [`RunContext`].
 pub fn uniqueness_scores<R: Rng>(
     network: &Graph,
     patterns: &[(&Graph, usize)],
     config: &UniquenessConfig,
     rng: &mut R,
 ) -> Vec<f64> {
+    uniqueness_scores_supervised(network, patterns, config, rng, &RunContext::unbounded())
+        .expect("a passive context without injected faults never interrupts the null model")
+}
+
+/// [`uniqueness_scores`] under `ctx`. Workers pull randomized-network
+/// indices from a shared queue; each network's seed is drawn from `rng`
+/// up front, and wins are summed as integers, so the scores are the same
+/// at any thread count. Each search charges the nodes it spent to the
+/// tick meter in one add. Cancellation or a worker panic returns
+/// [`Interrupted`]; no partial scores are kept, so the checkpoint is `()`.
+pub fn uniqueness_scores_supervised<R: Rng>(
+    network: &Graph,
+    patterns: &[(&Graph, usize)],
+    config: &UniquenessConfig,
+    rng: &mut R,
+    ctx: &RunContext,
+) -> Result<Vec<f64>, Interrupted<()>> {
     if patterns.is_empty() || config.n_random == 0 {
-        return vec![1.0; patterns.len()];
+        return Ok(vec![1.0; patterns.len()]);
     }
     let seeds: Vec<u64> = (0..config.n_random).map(|_| rng.gen()).collect();
     let threads = resolve_threads(config.threads).min(config.n_random).max(1);
+    let plans: Vec<PatternPlan> = patterns
+        .iter()
+        .map(|&(pattern, _)| PatternPlan::new(pattern, config.node_budget))
+        .collect();
+    let max_degree = plans.iter().map(PatternPlan::max_degree).max().unwrap_or(0);
+    let queue = WorkQueue::new(seeds.len());
 
-    // wins[i] = number of randomized networks where pattern i stayed at
-    // or below its real frequency.
-    let wins: Vec<usize> = {
-        let chunks: Vec<Vec<u64>> = split_chunks(&seeds, threads);
-        let mut partials: Vec<Vec<usize>> = Vec::with_capacity(chunks.len());
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|chunk| {
-                    scope.spawn(move |_| {
-                        let mut local = vec![0usize; patterns.len()];
-                        for &seed in chunk {
-                            let mut local_rng = SmallRng::seed_from_u64(seed);
-                            let shuffled = degree_preserving_shuffle(
-                                network,
-                                config.swaps_per_edge,
-                                &mut local_rng,
-                            );
-                            for (i, &(pattern, real_freq)) in patterns.iter().enumerate() {
-                                // The pattern "beats" the real network iff
-                                // its count reaches real_freq + 1.
-                                let r = count_occurrences_capped(
-                                    &shuffled,
-                                    pattern,
-                                    real_freq + 1,
-                                    config.node_budget,
-                                );
-                                let beaten = r.count > real_freq;
-                                if !beaten {
-                                    local[i] += 1;
-                                }
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                partials.push(h.join().expect("uniqueness worker panicked"));
+    // Per worker: wins[i] = randomized networks where pattern i stayed at
+    // or below its real frequency, plus the networks fully counted.
+    let PoolOutcome { results, panic } = run_supervised(threads, "uniqueness", ctx, || {
+        let mut wins = vec![0usize; patterns.len()];
+        let mut done = 0usize;
+        while let Some(i) = queue.pull() {
+            if ctx.should_stop() {
+                break;
             }
-        })
-        .expect("crossbeam scope fails only when a worker panicked");
-        let mut totals = vec![0usize; patterns.len()];
-        for p in partials {
-            for (t, v) in totals.iter_mut().zip(p) {
-                *t += v;
+            faultpoint!(ctx, "uniqueness.network");
+            let mut local_rng = SmallRng::seed_from_u64(seeds[i]);
+            let shuffled = degree_preserving_shuffle(network, config.swaps_per_edge, &mut local_rng);
+            let net = NullNet::new(&shuffled, max_degree);
+            let mut counted = 0;
+            for ((plan, &(_, real_freq)), win) in plans.iter().zip(patterns).zip(&mut wins) {
+                // The pattern "beats" the real network iff its count
+                // reaches real_freq + 1.
+                let (r, nodes) = plan.count(&net, real_freq + 1);
+                if r.count <= real_freq {
+                    *win += 1;
+                }
+                counted += 1;
+                if !ctx.tick(nodes as u64) {
+                    break;
+                }
             }
+            if counted < plans.len() {
+                break;
+            }
+            done += 1;
         }
-        totals
-    };
-
-    wins.iter()
+        (wins, done)
+    });
+    if let Some(panic) = panic {
+        return Err(Interrupted::WorkerPanicked {
+            panic,
+            checkpoint: (),
+        });
+    }
+    let mut totals = vec![0usize; patterns.len()];
+    let mut done = 0;
+    for (wins, d) in results {
+        done += d;
+        for (t, w) in totals.iter_mut().zip(wins) {
+            *t += w;
+        }
+    }
+    if done < config.n_random {
+        return Err(Interrupted::Cancelled { checkpoint: () });
+    }
+    Ok(totals
+        .iter()
         .map(|&w| w as f64 / config.n_random as f64)
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -201,6 +231,54 @@ mod tests {
             uniqueness_scores(&g, &[(&triangle, 30)], &config, &mut rng)
         };
         assert_eq!(run(7), run(7));
+    }
+
+    /// FNV-1a over the little-endian bit patterns of `scores`.
+    fn fnv1a64_bits(scores: &[f64]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in scores.iter().flat_map(|s| s.to_bits().to_le_bytes()) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Pins the exact scores of a seeded run: growth classes of sizes
+    /// 3–6 on a small scale-free network, with a node budget that binds
+    /// for some (pattern, network) pairs. Any matcher change must leave
+    /// every bit of every score where it is.
+    #[test]
+    fn pinned_scores_fingerprint() {
+        let mut rng = SmallRng::seed_from_u64(2007);
+        let g = ppi_graph::random::barabasi_albert(60, 2, &mut rng);
+        let growth = crate::nemo::grow_frequent_subgraphs(
+            &g,
+            &crate::nemo::GrowthConfig {
+                min_size: 3,
+                max_size: 6,
+                frequency_threshold: 4,
+                max_stored_occurrences: 4,
+                threads: 1,
+                ..Default::default()
+            },
+        );
+        let patterns: Vec<(&Graph, usize)> = growth
+            .classes
+            .iter()
+            .map(|c| (&c.pattern, c.frequency))
+            .collect();
+        let config = UniquenessConfig {
+            n_random: 6,
+            swaps_per_edge: 4,
+            node_budget: 400,
+            threads: 2,
+        };
+        let scores = uniqueness_scores(&g, &patterns, &config, &mut rng);
+        assert_eq!(scores.len(), 53);
+        // Computed with the per-node-allocating VF2 matcher this kernel
+        // replaced; a budget of 1M instead of 400 moves it, so the pin
+        // covers budget-bound searches too.
+        assert_eq!(fnv1a64_bits(&scores), 0x204c_1dd1_f72d_24f5);
     }
 
     #[test]

@@ -3,10 +3,14 @@
 //! must produce byte-identical output to an uninterrupted run, at every
 //! thread count; injected worker panics surface as typed errors whose
 //! checkpoints resume just as cleanly; injected shard poisoning is
-//! recovered without changing a byte.
+//! recovered without changing a byte. The null model (uniqueness) runs
+//! under the same contract: typed panics and cancellations, and scores
+//! and tick totals that do not depend on the thread count.
 
 use motif_finder::{
-    grow_frequent_subgraphs, resume_growth, GrowthCheckpoint, GrowthConfig, GrowthReport,
+    grow_frequent_subgraphs, resume_growth, uniqueness_scores, uniqueness_scores_supervised,
+    GrowthCheckpoint, GrowthConfig, GrowthReport, MotifFinder, MotifFinderConfig,
+    UniquenessConfig,
 };
 use par_util::{FaultAction, FaultPlan, Interrupted, RunContext};
 use ppi_graph::Graph;
@@ -183,6 +187,132 @@ fn injected_cancel_checkpoints_at_a_level_boundary() {
     let report = resume_growth(&g, &workload_config(2), checkpoint, &RunContext::unbounded())
         .expect("resume after the injected cancel completes");
     assert_reports_identical(&reference, &report, "cancel at extension level");
+}
+
+/// Null-model workload: the growth classes of the supervision graph,
+/// six randomized networks, and a node budget that binds for some
+/// searches.
+fn null_model_config(threads: usize) -> UniquenessConfig {
+    UniquenessConfig {
+        n_random: 6,
+        swaps_per_edge: 4,
+        node_budget: 2_000,
+        threads,
+    }
+}
+
+fn null_model_run(
+    g: &Graph,
+    threads: usize,
+    ctx: &RunContext,
+) -> Result<Vec<f64>, Interrupted<()>> {
+    let growth = grow_frequent_subgraphs(g, &workload_config(1));
+    let patterns: Vec<(&Graph, usize)> = growth
+        .classes
+        .iter()
+        .map(|c| (&c.pattern, c.frequency))
+        .collect();
+    let mut rng = SmallRng::seed_from_u64(19);
+    uniqueness_scores_supervised(g, &patterns, &null_model_config(threads), &mut rng, ctx)
+}
+
+#[test]
+fn null_model_scores_and_ticks_are_thread_count_invariant() {
+    let g = workload_graph();
+    let reference = {
+        let growth = grow_frequent_subgraphs(&g, &workload_config(1));
+        let patterns: Vec<(&Graph, usize)> = growth
+            .classes
+            .iter()
+            .map(|c| (&c.pattern, c.frequency))
+            .collect();
+        let mut rng = SmallRng::seed_from_u64(19);
+        uniqueness_scores(&g, &patterns, &null_model_config(1), &mut rng)
+    };
+    assert!(
+        reference.iter().any(|&s| s < 1.0) && reference.iter().any(|&s| s > 0.0),
+        "the workload must score some patterns above and some below random: {reference:?}"
+    );
+    let mut totals = Vec::new();
+    for threads in [1usize, 2, 4] {
+        let ctx = RunContext::metered();
+        let scores = null_model_run(&g, threads, &ctx).expect("a metered context never trips");
+        let bits: Vec<u64> = scores.iter().map(|s| s.to_bits()).collect();
+        let want: Vec<u64> = reference.iter().map(|s| s.to_bits()).collect();
+        assert_eq!(bits, want, "threads={threads}: scores differ");
+        totals.push(ctx.ticks_spent());
+    }
+    assert!(totals[0] > 0, "the null model must charge search nodes");
+    assert_eq!(totals, vec![totals[0]; 3], "tick totals differ across thread counts");
+}
+
+#[test]
+fn null_model_injected_panic_is_typed() {
+    let g = workload_graph();
+    for (hit, threads) in [(0u64, 1usize), (3, 2), (5, 4)] {
+        let plan = FaultPlan::new().inject("uniqueness.network", hit, FaultAction::Panic);
+        let ctx = RunContext::unbounded().with_faults(plan);
+        match null_model_run(&g, threads, &ctx) {
+            Err(Interrupted::WorkerPanicked { panic, .. }) => {
+                assert_eq!(panic.stage, "uniqueness");
+                assert!(
+                    panic.detail.contains("uniqueness.network"),
+                    "panic detail names the site: {panic}"
+                );
+            }
+            Err(Interrupted::Cancelled { .. }) => {
+                panic!("hit {hit}: expected a typed worker panic, got plain cancellation")
+            }
+            Ok(_) => panic!("hit {hit}: the injected panic must interrupt the run"),
+        }
+    }
+}
+
+#[test]
+fn null_model_cancellation_is_typed() {
+    let g = workload_graph();
+    let plan = FaultPlan::new().inject("uniqueness.network", 2, FaultAction::Cancel);
+    let ctx = RunContext::unbounded().with_faults(plan);
+    assert!(
+        matches!(null_model_run(&g, 2, &ctx), Err(Interrupted::Cancelled { .. })),
+        "an injected cancel must interrupt the null model"
+    );
+    // A tick budget below the run's total trips mid-run; one at the
+    // total lets it finish.
+    let metered = RunContext::metered();
+    let scores = null_model_run(&g, 1, &metered).expect("a metered context never trips");
+    let total = metered.ticks_spent();
+    assert!(matches!(
+        null_model_run(&g, 2, &RunContext::with_tick_budget(total / 2)),
+        Err(Interrupted::Cancelled { .. })
+    ));
+    let full = null_model_run(&g, 2, &RunContext::with_tick_budget(total))
+        .expect("a budget that the last search exhausts still completes the run");
+    assert_eq!(full, scores);
+}
+
+#[test]
+fn finder_runs_both_stages_supervised() {
+    let g = workload_graph();
+    let config = MotifFinderConfig {
+        growth: workload_config(2),
+        uniqueness: null_model_config(2),
+        uniqueness_threshold: 0.5,
+        seed: 3,
+    };
+    let finder = MotifFinder::new(config);
+    let (motifs, report) = finder.find(&g);
+    let (again, _) = finder
+        .find_supervised(&g, &RunContext::metered())
+        .expect("a metered context never trips");
+    assert_eq!(motifs.len(), again.len());
+    assert_eq!(report.motifs_found, motifs.len());
+    let plan = FaultPlan::new().inject("uniqueness.network", 0, FaultAction::Panic);
+    let ctx = RunContext::unbounded().with_faults(plan);
+    assert!(matches!(
+        finder.find_supervised(&g, &ctx),
+        Err(Interrupted::WorkerPanicked { .. })
+    ));
 }
 
 proptest! {
