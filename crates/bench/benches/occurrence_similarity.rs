@@ -98,7 +98,7 @@ fn bench_occurrence_similarity(c: &mut Criterion) {
         let m: Vec<Vec<f64>> = (0..n)
             .map(|_| (0..n).map(|_| rng.gen_range(0.0..1.0)).collect())
             .collect();
-        c.bench_function(&format!("hungarian_{n}x{n}"), |b| {
+        c.bench_function(format!("hungarian_{n}x{n}"), |b| {
             b.iter(|| black_box(max_assignment(&m)))
         });
     }

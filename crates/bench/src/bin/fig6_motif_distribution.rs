@@ -61,12 +61,12 @@ fn main() {
     bar_chart("labeled network motifs per size:", &chart, 50);
 
     let mut rows = Vec::new();
-    for k in 3..=max_size {
-        if by_size[k] > 0 {
+    for (k, &count) in by_size.iter().enumerate().skip(3) {
+        if count > 0 {
             rows.push(vec![
                 k.to_string(),
-                by_size[k].to_string(),
-                format!("{:.1}%", 100.0 * by_size[k] as f64 / total as f64),
+                count.to_string(),
+                format!("{:.1}%", 100.0 * count as f64 / total as f64),
             ]);
         }
     }

@@ -210,7 +210,7 @@ mod tests {
             .str("name", "disco\"very\n")
             .int("vertices", 4141)
             .num("nan", f64::NAN)
-            .raw("sweep", json_array(&[inner.clone()]))
+            .raw("sweep", json_array(std::slice::from_ref(&inner)))
             .render();
         assert_eq!(
             doc,

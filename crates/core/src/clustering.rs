@@ -21,7 +21,7 @@ use crate::labeling::{
 use crate::occ_similarity::OccurrenceScorer;
 use go_ontology::{InformativeClasses, Ontology, ProteinId, TermSimilarity};
 use motif_finder::Occurrence;
-use par_util::{faultpoint, run_supervised, PoolOutcome, RunContext, WorkQueue, WorkerPanic};
+use par_util::{faultpoint, run_supervised, strided, PoolOutcome, RunContext, WorkerPanic};
 use ppi_graph::{enumerate_isomorphisms, DiGraph, Graph};
 
 /// Linkage rule for cluster-to-cluster similarity.
@@ -70,10 +70,10 @@ impl Default for ClusteringConfig {
     }
 }
 
-// Thread-budget resolution and deterministic chunking now live in
-// `par-util` (shared with the uniqueness null model and the discovery
-// front-end); re-exported for the crate-internal callers.
-pub(crate) use par_util::{resolve_threads, split_chunks};
+// Thread-budget resolution lives in `par-util` (shared with the
+// uniqueness null model and the discovery front-end); re-exported for
+// the crate-internal callers.
+pub(crate) use par_util::resolve_threads;
 
 /// One emitted cluster: a labeling scheme with its supporting
 /// occurrences (aligned copies).
@@ -441,7 +441,7 @@ pub fn cluster_occurrences_sym_supervised(
 }
 
 /// The full pairwise SO matrix, built by `threads` supervised workers
-/// over round-robin row chunks. Every entry is a pure function of the
+/// over strided rows. Every entry is a pure function of the
 /// occurrence pair (the SV/ST memo tables are insert-once and
 /// value-deterministic), so the matrix is identical for any thread
 /// count. Every scored cell costs one work tick; a tripped context
@@ -456,28 +456,23 @@ pub fn so_matrix(
     let n = occurrences.len();
     let mut sim = vec![vec![0.0f64; n]; n];
     let threads = threads.clamp(1, n.max(1));
-    let rows: Vec<usize> = (0..n).collect();
-    let chunks = split_chunks(&rows, threads);
-    let queue = WorkQueue::new(chunks.len());
     let PoolOutcome {
         results: parts,
         panic,
     }: PoolOutcome<Vec<(usize, Vec<f64>)>> =
-        run_supervised(chunks.len().max(1), "core.so_matrix", run, || {
+        run_supervised(threads, "core.so_matrix", run, |wid| {
             let mut part: Vec<(usize, Vec<f64>)> = Vec::new();
             let mut scratch = crate::occ_similarity::SoScratch::new();
-            while let Some(c) = queue.pull() {
-                for &i in &chunks[c] {
-                    if run.should_stop() {
-                        return part;
-                    }
-                    faultpoint!(run, "core.so_row");
-                    let row: Vec<f64> = (i + 1..n)
-                        .map(|j| scorer.so_scratch(&occurrences[i], &occurrences[j], &mut scratch))
-                        .collect();
-                    run.tick((n - i - 1) as u64);
-                    part.push((i, row));
+            for i in strided(n, threads, wid) {
+                if run.should_stop() {
+                    break;
                 }
+                faultpoint!(run, "core.so_row");
+                let row: Vec<f64> = (i + 1..n)
+                    .map(|j| scorer.so_scratch(&occurrences[i], &occurrences[j], &mut scratch))
+                    .collect();
+                run.tick((n - i - 1) as u64);
+                part.push((i, row));
             }
             part
         });

@@ -2,18 +2,17 @@
 //! runs the clustering over every motif's occurrence set (Algorithm 1).
 
 use crate::clustering::{
-    cluster_occurrences_supervised, compute_frontier, resolve_threads, split_chunks,
-    ClusteringConfig, LabelContext,
+    cluster_occurrences_supervised, cluster_occurrences_sym_supervised, compute_frontier,
+    resolve_threads, ClusteringConfig, LabelContext, MotifSymmetry,
 };
-use crate::labeled::LabeledMotif;
+use crate::labeled::{LabeledDirectedMotif, LabeledMotif};
 use go_ontology::{
     Annotations, DenseSimPlanes, InformativeClasses, InformativeConfig, KernelStats, Namespace,
     Ontology, ProteinId, TermId, TermSimilarity, TermWeights,
 };
-use motif_finder::{Motif, Occurrence};
-use par_util::{faultpoint, run_supervised, Interrupted, RunContext, WorkQueue, WorkerPanic};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use motif_finder::{DirectedMotif, Motif, Occurrence};
+use par_util::{faultpoint, run_supervised, strided, Interrupted, RunContext, WorkerPanic};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Which similarity implementation drives the labeling hot path.
 ///
@@ -83,6 +82,9 @@ pub struct LabelCheckpoint {
     pub done: Vec<(usize, Vec<LabeledMotif>)>,
 }
 
+/// `(motif index, its labeled output)` pairs of completed motifs.
+type MotifOutputs<T> = Vec<(usize, Vec<T>)>;
+
 /// Labeled Motif Finder (the paper's contribution, Section 3).
 ///
 /// Owns the derived GO machinery (weights, informative classes, border
@@ -149,7 +151,7 @@ impl<'a> LaMoFinder<'a> {
     /// dimensions, bytes and build ticks plus oracle-fallback and memo
     /// counts. Zeroed until a labeling entry point has run.
     pub fn kernel_stats(&self) -> KernelStats {
-        *self.last_kernel_stats.lock()
+        *self.last_kernel_stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Dense ST/SV kernels when the config selects them, built on first
@@ -166,7 +168,12 @@ impl<'a> LaMoFinder<'a> {
         if self.config.kernel != SimilarityKernel::Dense {
             return Ok(None);
         }
-        if let Some(planes) = self.dense_cache.lock().clone() {
+        if let Some(planes) = self
+            .dense_cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+        {
             planes.reset_run_counters();
             return Ok(Some(planes));
         }
@@ -179,7 +186,8 @@ impl<'a> LaMoFinder<'a> {
         )?;
         Ok(built.map(|planes| {
             let planes = Arc::new(planes);
-            *self.dense_cache.lock() = Some(Arc::clone(&planes));
+            *self.dense_cache.lock().unwrap_or_else(PoisonError::into_inner) =
+                Some(Arc::clone(&planes));
             planes
         }))
     }
@@ -190,7 +198,7 @@ impl<'a> LaMoFinder<'a> {
         if let Some(planes) = dense {
             stats = stats.merged(&planes.stats());
         }
-        *self.last_kernel_stats.lock() = stats;
+        *self.last_kernel_stats.lock().unwrap_or_else(PoisonError::into_inner) = stats;
     }
 
     /// The derived term weights.
@@ -226,40 +234,6 @@ impl<'a> LaMoFinder<'a> {
         (motif_threads, clustering)
     }
 
-    /// Fan `label` out over `motifs` with `motif_threads` scoped
-    /// workers, concatenating the per-motif outputs in motif order — the
-    /// same output the serial loop produces, for any thread count.
-    fn label_parallel<T, F>(motif_threads: usize, n_motifs: usize, label: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> Vec<T> + Sync,
-    {
-        if motif_threads <= 1 {
-            return (0..n_motifs).flat_map(&label).collect();
-        }
-        let indices: Vec<usize> = (0..n_motifs).collect();
-        let chunks = split_chunks(&indices, motif_threads);
-        let parts: Vec<Vec<(usize, Vec<T>)>> = crossbeam::scope(|scope| {
-            let label = &label;
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|chunk| {
-                    scope.spawn(move |_| {
-                        chunk.iter().map(|&mi| (mi, label(mi))).collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("labeling worker panicked"))
-                .collect()
-        })
-        .expect("crossbeam scope fails only when a worker panicked");
-        let mut keyed: Vec<(usize, Vec<T>)> = parts.into_iter().flatten().collect();
-        keyed.sort_by_key(|&(mi, _)| mi);
-        keyed.into_iter().flat_map(|(_, v)| v).collect()
-    }
-
     /// Label every motif; returns all labeled motifs found.
     ///
     /// Legacy uninterruptible entry point: runs the supervised engine
@@ -292,6 +266,29 @@ impl<'a> LaMoFinder<'a> {
         checkpoint: LabelCheckpoint,
         run: &RunContext,
     ) -> Result<Vec<LabeledMotif>, Interrupted<LabelCheckpoint>> {
+        self.label_supervised(motifs.len(), checkpoint.done, run, |mi, ctx, clustering| {
+            self.label_one(&motifs[mi], ctx, clustering, run)
+        })
+        .map_err(|interrupted| interrupted.map_checkpoint(|done| LabelCheckpoint { done }))
+    }
+
+    /// The supervised per-motif engine behind every labeling entry
+    /// point: fans `label` out over the motif indices of `0..n_motifs`
+    /// not already in `done`, and concatenates the per-motif outputs in
+    /// motif order. Cancellation or a worker panic returns
+    /// [`Interrupted`] carrying `done` plus every motif completed since,
+    /// sorted by index.
+    fn label_supervised<T, F>(
+        &self,
+        n_motifs: usize,
+        mut done: MotifOutputs<T>,
+        run: &RunContext,
+        label: F,
+    ) -> Result<Vec<T>, Interrupted<MotifOutputs<T>>>
+    where
+        T: Send,
+        F: Fn(usize, &LabelContext<'_>, &ClusteringConfig) -> Result<Vec<T>, WorkerPanic> + Sync,
+    {
         let sim = TermSimilarity::new(self.ontology, &self.weights);
         // The dense planes come from the finder-lifetime cache (built
         // once; a pure function of the finder), so resuming from a
@@ -301,11 +298,14 @@ impl<'a> LaMoFinder<'a> {
         let dense = match self.build_dense(run) {
             Ok(planes) => planes,
             Err(panic) => {
-                return Err(Interrupted::WorkerPanicked { panic, checkpoint });
+                return Err(Interrupted::WorkerPanicked {
+                    panic,
+                    checkpoint: done,
+                });
             }
         };
         if self.config.kernel == SimilarityKernel::Dense && dense.is_none() {
-            return Err(Interrupted::Cancelled { checkpoint });
+            return Err(Interrupted::Cancelled { checkpoint: done });
         }
         let ctx = LabelContext {
             ontology: self.ontology,
@@ -317,59 +317,60 @@ impl<'a> LaMoFinder<'a> {
         };
         // The plan is derived from the *full* motif count, so a resumed
         // run splits the thread budget exactly as the original did.
-        let (motif_threads, clustering) = self.thread_plan(motifs.len());
-        let already: std::collections::HashSet<usize> =
-            checkpoint.done.iter().map(|&(mi, _)| mi).collect();
-        let todo: Vec<usize> = (0..motifs.len()).filter(|mi| !already.contains(mi)).collect();
-        let chunks = split_chunks(&todo, motif_threads.min(todo.len()).max(1));
-        let queue = WorkQueue::new(chunks.len());
-        let completed: Mutex<Vec<(usize, Vec<LabeledMotif>)>> = Mutex::new(Vec::new());
+        let (motif_threads, clustering) = self.thread_plan(n_motifs);
+        let already: std::collections::HashSet<usize> = done.iter().map(|&(mi, _)| mi).collect();
+        let todo: Vec<usize> = (0..n_motifs).filter(|mi| !already.contains(mi)).collect();
+        let workers = motif_threads.min(todo.len()).max(1);
+        let completed: Mutex<MotifOutputs<T>> = Mutex::new(Vec::new());
         // A panic inside a nested clustering pool is already typed by
         // that pool; it is parked here and re-raised as this stage's
         // interruption (the outer pool only sees clean worker exits).
         let nested: Mutex<Option<WorkerPanic>> = Mutex::new(None);
-        let outcome = run_supervised(chunks.len().max(1), "core.label_motifs", run, || {
-            'chunks: while let Some(c) = queue.pull() {
-                for &mi in &chunks[c] {
-                    if run.should_stop() {
-                        break 'chunks;
+        let outcome = run_supervised(workers, "core.label_motifs", run, |wid| {
+            for i in strided(todo.len(), workers, wid) {
+                if run.should_stop() {
+                    break;
+                }
+                faultpoint!(run, "core.label_motif");
+                let mi = todo[i];
+                match label(mi, &ctx, &clustering) {
+                    Ok(out) => {
+                        if run.should_stop() {
+                            // The context tripped somewhere inside
+                            // this motif: `out` may be partial, so
+                            // it is conservatively discarded.
+                            break;
+                        }
+                        completed
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .push((mi, out));
                     }
-                    faultpoint!(run, "core.label_motif");
-                    match self.label_one(&motifs[mi], &ctx, &clustering, run) {
-                        Ok(out) => {
-                            if run.should_stop() {
-                                // The context tripped somewhere inside
-                                // this motif: `out` may be partial, so
-                                // it is conservatively discarded.
-                                break 'chunks;
-                            }
-                            completed.lock().push((mi, out));
-                        }
-                        Err(panic) => {
-                            let mut slot = nested.lock();
-                            if slot.is_none() {
-                                *slot = Some(panic);
-                            }
-                            drop(slot);
-                            run.cancel();
-                            break 'chunks;
-                        }
+                    Err(panic) => {
+                        nested
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .get_or_insert(panic);
+                        run.cancel();
+                        break;
                     }
                 }
             }
         });
-        let mut done = checkpoint.done;
-        done.extend(completed.into_inner());
+        done.extend(completed.into_inner().unwrap_or_else(PoisonError::into_inner));
         done.sort_by_key(|&(mi, _)| mi);
-        let checkpoint = LabelCheckpoint { done };
         self.record_kernel_stats(dense.as_deref(), &sim);
-        if let Some(panic) = nested.into_inner().or(outcome.panic) {
-            return Err(Interrupted::WorkerPanicked { panic, checkpoint });
+        let nested = nested.into_inner().unwrap_or_else(PoisonError::into_inner);
+        if let Some(panic) = nested.or(outcome.panic) {
+            return Err(Interrupted::WorkerPanicked {
+                panic,
+                checkpoint: done,
+            });
         }
         if run.should_stop() {
-            return Err(Interrupted::Cancelled { checkpoint });
+            return Err(Interrupted::Cancelled { checkpoint: done });
         }
-        Ok(checkpoint.done.into_iter().flat_map(|(_, v)| v).collect())
+        Ok(done.into_iter().flat_map(|(_, v)| v).collect())
     }
 
     /// Label a single motif.
@@ -380,31 +381,14 @@ impl<'a> LaMoFinder<'a> {
     /// Label directed motifs (the future-work extension): same
     /// clustering, but with the pattern's *directed* symmetry, which
     /// distinguishes regulator/target roles that skeleton symmetry would
-    /// merge.
-    pub fn label_directed_motifs(
-        &self,
-        motifs: &[motif_finder::DirectedMotif],
-    ) -> Vec<crate::labeled::LabeledDirectedMotif> {
-        let sim = TermSimilarity::new(self.ontology, &self.weights);
-        // Uninterruptible entry point: build under a passive context
-        // (never cancelled, so `Ok(None)` only means "memoized config").
-        let dense = self
-            .build_dense(&RunContext::unbounded())
-            .expect("a passive context without injected faults never interrupts the plane build");
-        let ctx = LabelContext {
-            ontology: self.ontology,
-            sim: &sim,
-            informative: &self.informative,
-            terms_by_protein: &self.terms_by_protein,
-            frontier: &self.frontier,
-            dense: dense.as_deref(),
-        };
-        let (motif_threads, clustering) = self.thread_plan(motifs.len());
-        let out = Self::label_parallel(motif_threads, motifs.len(), |mi| {
-            self.label_directed_one(&motifs[mi], &ctx, &clustering)
-        });
-        self.record_kernel_stats(dense.as_deref(), &sim);
-        out
+    /// merge. Runs the same supervised per-motif engine as
+    /// [`LaMoFinder::label_motifs`] under a passive [`RunContext`].
+    pub fn label_directed_motifs(&self, motifs: &[DirectedMotif]) -> Vec<LabeledDirectedMotif> {
+        let run = RunContext::unbounded();
+        self.label_supervised(motifs.len(), Vec::new(), &run, |mi, ctx, clustering| {
+            self.label_directed_one(&motifs[mi], ctx, clustering, &run)
+        })
+        .expect("a passive context without injected faults never interrupts labeling")
     }
 
     fn label_one(
@@ -437,20 +421,18 @@ impl<'a> LaMoFinder<'a> {
 
     fn label_directed_one(
         &self,
-        motif: &motif_finder::DirectedMotif,
+        motif: &DirectedMotif,
         ctx: &LabelContext<'_>,
         clustering: &ClusteringConfig,
-    ) -> Vec<crate::labeled::LabeledDirectedMotif> {
-        let symmetry = crate::clustering::MotifSymmetry::directed(
-            &motif.pattern,
-            clustering.max_automorphisms,
-        );
+        run: &RunContext,
+    ) -> Result<Vec<LabeledDirectedMotif>, WorkerPanic> {
+        let symmetry = MotifSymmetry::directed(&motif.pattern, clustering.max_automorphisms);
         let occurrences = subsample(&motif.occurrences, self.config.max_occurrences);
         let clusters =
-            crate::clustering::cluster_occurrences_sym(&symmetry, &occurrences, ctx, clustering);
-        clusters
+            cluster_occurrences_sym_supervised(&symmetry, &occurrences, ctx, clustering, run)?;
+        Ok(clusters
             .into_iter()
-            .map(|cluster| crate::labeled::LabeledDirectedMotif {
+            .map(|cluster| LabeledDirectedMotif {
                 pattern: motif.pattern.clone(),
                 namespace: self.config.namespace,
                 scheme: cluster.scheme,
@@ -458,7 +440,7 @@ impl<'a> LaMoFinder<'a> {
                 motif_frequency: motif.frequency,
                 uniqueness: Some(motif.uniqueness),
             })
-            .collect()
+            .collect())
     }
 }
 

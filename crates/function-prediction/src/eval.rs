@@ -165,7 +165,7 @@ impl LeaveOneOut {
             // The point is computed inside an inline supervised worker
             // so an injected (or real) panic surfaces as a typed error
             // carrying the completed prefix instead of unwinding.
-            let outcome = run_supervised(1, "prediction.eval", run, || {
+            let outcome = run_supervised(1, "prediction.eval", run, |_| {
                 faultpoint!(run, "prediction.eval_k");
                 let mut correct = 0usize;
                 let mut predicted = 0usize;

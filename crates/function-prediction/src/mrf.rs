@@ -126,9 +126,7 @@ mod tests {
         let g = Graph::from_edges(10, &[(0, 1), (1, 2), (3, 4), (5, 6), (7, 8)]);
         let mut functions = vec![vec![]; 10];
         functions[0] = vec![0];
-        for p in 3..10 {
-            functions[p] = vec![1];
-        }
+        functions[3..10].fill(vec![1]);
         functions[2] = vec![0]; // truth for the query (hidden by folds)
         let scores = run(&g, &functions, 2);
         assert!(
@@ -148,9 +146,7 @@ mod tests {
         // carries function 0.
         let g = Graph::from_edges(9, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (6, 7)]);
         let mut functions = vec![vec![]; 9];
-        for p in 1..6 {
-            functions[p] = vec![1];
-        }
+        functions[1..6].fill(vec![1]);
         functions[6] = vec![0];
         functions[7] = vec![0];
         functions[0] = vec![1]; // truth

@@ -142,17 +142,17 @@ mod tests {
 
     /// Two tight pairs far apart: {0,1} and {2,3}.
     fn two_cluster_matrix() -> Vec<Vec<f64>> {
-        let mut d = vec![vec![0.0; 4]; 4];
-        for i in 0..4 {
-            for j in 0..4 {
-                if i == j {
-                    continue;
-                }
-                let same = (i < 2) == (j < 2);
-                d[i][j] = if same { 0.1 } else { 1.0 };
-            }
-        }
-        d
+        (0..4)
+            .map(|i| {
+                (0..4)
+                    .map(|j| match (i == j, (i < 2) == (j < 2)) {
+                        (true, _) => 0.0,
+                        (false, true) => 0.1,
+                        (false, false) => 1.0,
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
@@ -194,14 +194,19 @@ mod tests {
     fn every_nonroot_has_parent_and_tree_is_consistent() {
         // Random-ish additive distances over 9 taxa.
         let n = 9;
-        let mut d = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    d[i][j] = ((i as f64 - j as f64).abs() + 1.0).ln() + 0.3;
-                }
-            }
-        }
+        let d: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| {
+                        if i == j {
+                            0.0
+                        } else {
+                            ((i as f64 - j as f64).abs() + 1.0).ln() + 0.3
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
         let tree = neighbor_joining(&d);
         let root = tree.parent.len() - 1;
         for v in 0..tree.parent.len() {

@@ -357,14 +357,15 @@ mod tests {
         index.validate().unwrap();
         let mut scratch = PredictScratch::new();
         let mut want = Vec::new();
-        for p in 0..functions.len() {
+        assert_eq!(oracle.len(), functions.len());
+        for (p, expected) in oracle.iter().enumerate() {
             let (got, consumed) = index.predict_into(p, &mut scratch);
-            rank_scores(&oracle[p], &mut want);
+            rank_scores(expected, &mut want);
             assert_eq!(got, &want[..], "protein {p}");
             assert_eq!(consumed, index.postings_of(p).len());
             for (c, score) in got {
                 assert!(
-                    oracle[p][*c as usize].to_bits() == score.to_bits(),
+                    expected[*c as usize].to_bits() == score.to_bits(),
                     "protein {p} category {c}"
                 );
             }

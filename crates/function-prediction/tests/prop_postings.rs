@@ -105,10 +105,11 @@ proptest! {
         prop_assert!(index.validate().is_ok());
         let mut scratch = PredictScratch::new();
         let mut want = Vec::new();
-        for p in 0..w.n {
+        prop_assert_eq!(oracle.len(), w.n);
+        for (p, expected) in oracle.iter().enumerate() {
             let (got, consumed) = index.predict_into(p, &mut scratch);
             prop_assert_eq!(consumed, index.postings_of(p).len());
-            rank_scores(&oracle[p], &mut want);
+            rank_scores(expected, &mut want);
             prop_assert_eq!(got.len(), want.len());
             for (g, o) in got.iter().zip(&want) {
                 prop_assert_eq!(g.0, o.0, "protein {} rank order", p);

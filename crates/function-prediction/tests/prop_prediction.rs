@@ -109,13 +109,10 @@ proptest! {
     ) {
         // Build a random symmetric distance matrix.
         let mut d = vec![vec![0.0; n]; n];
-        let mut it = seed.into_iter().cycle();
-        for i in 0..n {
-            for j in i + 1..n {
-                let v = it.next().unwrap();
-                d[i][j] = v;
-                d[j][i] = v;
-            }
+        let pairs = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j)));
+        for ((i, j), v) in pairs.zip(seed.into_iter().cycle()) {
+            d[i][j] = v;
+            d[j][i] = v;
         }
         let tree = neighbor_joining(&d);
         prop_assert_eq!(tree.n_leaves, n);
@@ -149,14 +146,16 @@ proptest! {
             category_terms: &terms,
         };
         let scores = NeighborCountingPredictor.predict_all(&ctx);
-        for p in 0..g.vertex_count() {
-            for c in 0..cats {
+        prop_assert_eq!(scores.len(), g.vertex_count());
+        for (p, row) in scores.iter().enumerate() {
+            prop_assert_eq!(row.len(), cats);
+            for (c, &score) in row.iter().enumerate() {
                 let manual = g
                     .neighbors(VertexId(p as u32))
                     .iter()
                     .filter(|&&u| functions[u as usize].contains(&c))
                     .count() as f64;
-                prop_assert_eq!(scores[p][c], manual);
+                prop_assert_eq!(score, manual);
             }
         }
     }

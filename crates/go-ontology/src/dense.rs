@@ -30,7 +30,7 @@ use crate::ontology::Ontology;
 use crate::similarity::{sorted_intersect, st_value};
 use crate::term::TermId;
 use crate::weights::TermWeights;
-use par_util::{run_supervised, split_chunks, PoolOutcome, RunContext, WorkQueue, WorkerPanic};
+use par_util::{run_supervised, strided, PoolOutcome, RunContext, WorkerPanic};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sentinel for "no dense index" in lookup tables.
@@ -216,8 +216,8 @@ impl StPlane {
     }
 
     /// Build the plane row-parallel under `run` (each cell costs one
-    /// work tick; rows are round-robin chunked so the triangular row
-    /// costs balance). Returns `Ok(None)` when the context tripped
+    /// work tick; rows are strided across workers so the triangular
+    /// row costs balance). Returns `Ok(None)` when the context tripped
     /// mid-build (the partial plane is discarded); a worker panic
     /// surfaces as `Err` like every supervised stage.
     // lamolint::allow(alloc-in-hot-loop): per-worker flat accumulators —
@@ -233,9 +233,6 @@ impl StPlane {
         let n = interner.len();
         let bitsets = AncestorBitsets::for_terms(ontology, interner.terms());
         let threads = threads.clamp(1, n.max(1));
-        let rows: Vec<usize> = (0..n).collect();
-        let chunks = split_chunks(&rows, threads);
-        let queue = WorkQueue::new(chunks.len());
         // Each worker appends every row it owns into one flat buffer and
         // records `(row, start)` markers — no per-row Vec, so the shard
         // does O(1) amortized allocations instead of one per term.
@@ -243,29 +240,27 @@ impl StPlane {
             results: parts,
             panic,
         }: PoolOutcome<ShardRows> =
-            run_supervised(chunks.len().max(1), "go.st_plane", run, || {
+            run_supervised(threads, "go.st_plane", run, |wid| {
                 let mut starts: Vec<(usize, usize)> = Vec::new();
                 let mut flat: Vec<f64> = Vec::new();
-                while let Some(c) = queue.pull() {
-                    for &i in &chunks[c] {
-                        if run.should_stop() {
-                            return (starts, flat);
-                        }
-                        let ti = interner.term(i as u32);
-                        let start = flat.len();
-                        for j in 0..i {
-                            let tj = interner.term(j as u32);
-                            // `tj < ti` (interned order is term order),
-                            // matching the oracle's normalized (min, max)
-                            // argument order exactly.
-                            flat.push(st_value(weights, tj, ti, || {
-                                bitsets.lowest_common_parent(weights, tj, ti)
-                            }));
-                        }
-                        flat.push(1.0);
-                        run.tick((i + 1) as u64);
-                        starts.push((i, start));
+                for i in strided(n, threads, wid) {
+                    if run.should_stop() {
+                        break;
                     }
+                    let ti = interner.term(i as u32);
+                    let start = flat.len();
+                    for j in 0..i {
+                        let tj = interner.term(j as u32);
+                        // `tj < ti` (interned order is term order),
+                        // matching the oracle's normalized (min, max)
+                        // argument order exactly.
+                        flat.push(st_value(weights, tj, ti, || {
+                            bitsets.lowest_common_parent(weights, tj, ti)
+                        }));
+                    }
+                    flat.push(1.0);
+                    run.tick((i + 1) as u64);
+                    starts.push((i, start));
                 }
                 (starts, flat)
             });

@@ -143,7 +143,7 @@ fn random_delta(g: &Graph, s: &mut u64) -> EdgeDelta {
     }
     // Interleave an add-then-remove of one present edge: it must
     // cancel during normalization, exercising the no-op path inline.
-    if xorshift(s) % 2 == 0 && !edges.is_empty() {
+    if xorshift(s).is_multiple_of(2) && !edges.is_empty() {
         let e = edges[(xorshift(s) % edges.len() as u64) as usize];
         if !removed.contains(&e) {
             added.push(e);

@@ -21,8 +21,9 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-/// Bump when the entry layout changes; old caches then read as cold.
-pub const CACHE_VERSION: u32 = 1;
+/// Bump when the entry layout or a rule's matching changes; old caches
+/// then read as cold.
+pub const CACHE_VERSION: u32 = 2;
 
 /// FNV-1a, 64-bit. The workspace's one hash for content keys.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {

@@ -19,8 +19,9 @@ use crate::model::FileModel;
 
 const ACQUIRE: [&str; 3] = ["lock", "read", "write"];
 /// Methods that may follow an acquisition in the same chain without
-/// changing what is bound (std poisoning unwraps).
-const PASSTHROUGH: [&str; 2] = ["unwrap", "expect"];
+/// changing what is bound (std poisoning unwraps, including the
+/// recover-through-poison `unwrap_or_else(PoisonError::into_inner)`).
+const PASSTHROUGH: [&str; 3] = ["unwrap", "expect", "unwrap_or_else"];
 
 pub fn guard_across_spawn(path: &str, model: &FileModel, out: &mut Vec<Diagnostic>) {
     for i in 0..model.code.len() {
@@ -171,7 +172,7 @@ fn binding_name(model: &FileModel, let_idx: usize) -> Option<(String, usize)> {
 
 /// Whether the chain in `(start..end)` ends by acquiring a lock guard:
 /// its last top-level method call is `lock`/`read`/`write`, optionally
-/// followed by `unwrap`/`expect`.
+/// followed by `unwrap`/`expect`/`unwrap_or_else`.
 fn rhs_acquires_guard(model: &FileModel, start: usize, end: usize) -> bool {
     let base = model.code.get(start).map(|c| c.depth);
     let Some(base) = base else { return false };
@@ -303,6 +304,15 @@ mod tests {
         assert_eq!(diags.len(), 1);
         assert!(diags[0].message.contains("`g`"));
         assert!(diags[0].message.contains("spawn"));
+    }
+
+    #[test]
+    fn poison_recovering_guard_is_flagged() {
+        let src = "fn f() { let g = m.lock().unwrap_or_else(PoisonError::into_inner);\n\
+                   scope.spawn(|| work(&g)); }";
+        let diags = run(src);
+        assert_eq!(diags.len(), 1);
+        assert!(diags[0].message.contains("`g`"));
     }
 
     #[test]

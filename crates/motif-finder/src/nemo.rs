@@ -79,10 +79,10 @@ use par_util::{
     faultpoint, resolve_threads, run_supervised, strided, Interrupted, PoolOutcome, RunContext,
     WorkerPanic,
 };
-use parking_lot::Mutex;
 use ppi_graph::{AdjBits, Graph, VertexId};
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Growth parameters.
 #[derive(Clone, Debug)]
@@ -342,7 +342,6 @@ fn seed_level(
 ) -> (Vec<SubgraphClass>, bool, Option<WorkerPanic>) {
     let k = config.min_size;
     let n = g.vertex_count();
-    let worker_ids = AtomicUsize::new(0);
     let emitted = AtomicUsize::new(0);
     let overflow = AtomicBool::new(false);
 
@@ -350,8 +349,7 @@ fn seed_level(
     let PoolOutcome {
         results: parts,
         panic,
-    }: PoolOutcome<SeedPart> = run_supervised(threads, "nemo.seed", ctx, || {
-        let wid = worker_ids.fetch_add(1, Ordering::Relaxed);
+    }: PoolOutcome<SeedPart> = run_supervised(threads, "nemo.seed", ctx, |wid| {
         let mut collector =
             ClassCollector::with_kernel(g, bits, config.max_stored_occurrences, cache);
         let mut counts: Vec<(u32, u32)> = Vec::new();
@@ -454,13 +452,11 @@ fn seed_level(
 
     // Second pass: classify exactly the candidates before the cut,
     // sharded by root again (the canonical-code cache is already warm).
-    let worker_ids = AtomicUsize::new(0);
     let PoolOutcome {
         results: parts,
         panic,
     }: PoolOutcome<Vec<crate::classes::TaggedClass>> =
-        run_supervised(threads, "nemo.seed_cut", ctx, || {
-            let wid = worker_ids.fetch_add(1, Ordering::Relaxed);
+        run_supervised(threads, "nemo.seed_cut", ctx, |wid| {
             let mut collector =
                 ClassCollector::with_kernel(g, bits, config.max_stored_occurrences, cache);
             let mut walker = DenseEsuWalker::new(bits, k);
@@ -749,10 +745,8 @@ fn extension_level(
         let dedup: Vec<DedupShard> = (0..DEDUP_SHARDS)
             .map(|_| Mutex::new(FlatSetMap::with_width(width, bound / DEDUP_SHARDS / 4)))
             .collect();
-        let worker_ids = AtomicUsize::new(0);
         let PoolOutcome { results: _, panic } =
-            run_supervised(threads, "nemo.extension", ctx, || {
-                let wid = worker_ids.fetch_add(1, Ordering::Relaxed);
+            run_supervised(threads, "nemo.extension", ctx, |wid| {
                 let mut base: Vec<u32> = Vec::new();
                 let mut key_buf: Vec<u32> = Vec::new();
                 for i in strided(items.len(), threads, wid) {
@@ -768,7 +762,10 @@ fn extension_level(
                         &mut key_buf,
                         &mut |key, tag| {
                             let shard = hasher.hash_one(key) as usize & (DEDUP_SHARDS - 1);
-                            dedup[shard].lock().insert_min(key, tag);
+                            dedup[shard]
+                                .lock()
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .insert_min(key, tag);
                             ctx.tick(1)
                         },
                     );
@@ -781,7 +778,10 @@ fn extension_level(
             // Partial candidate map: the caller discards this level.
             return (Vec::new(), false, None);
         }
-        let maps: Vec<FlatSetMap> = dedup.into_iter().map(|s| s.into_inner()).collect();
+        let maps: Vec<FlatSetMap> = dedup
+            .into_iter()
+            .map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect();
         let mut candidates: Vec<Candidate> = maps
             .iter()
             .enumerate()
@@ -799,13 +799,11 @@ fn extension_level(
     let chunk = candidates.len().div_ceil(threads.max(1)).max(1);
     let ranges: Vec<&[Candidate]> = candidates.chunks(chunk).collect();
     let workers = ranges.len().max(1);
-    let worker_ids = AtomicUsize::new(0);
     let PoolOutcome {
         results: parts,
         panic,
     }: PoolOutcome<Vec<crate::classes::TaggedClass>> =
-        run_supervised(workers, "nemo.extension_classify", ctx, || {
-            let wid = worker_ids.fetch_add(1, Ordering::Relaxed);
+        run_supervised(workers, "nemo.extension_classify", ctx, |wid| {
             let mut collector =
                 ClassCollector::with_kernel(g, bits, config.max_stored_occurrences, cache);
             let mut verts: Vec<VertexId> = Vec::new();

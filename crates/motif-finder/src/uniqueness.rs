@@ -94,7 +94,7 @@ pub fn uniqueness_scores_supervised<R: Rng>(
 
     // Per worker: wins[i] = randomized networks where pattern i stayed at
     // or below its real frequency, plus the networks fully counted.
-    let PoolOutcome { results, panic } = run_supervised(threads, "uniqueness", ctx, || {
+    let PoolOutcome { results, panic } = run_supervised(threads, "uniqueness", ctx, |_| {
         let mut wins = vec![0usize; patterns.len()];
         let mut done = 0usize;
         while let Some(i) = queue.pull() {

@@ -33,10 +33,8 @@
 //! `serve-read-lock` rule keeps lock acquisitions out of `lamo-serve`
 //! entirely — which is why these primitives live here.
 
-use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::Condvar;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 struct QueueState<T> {
     items: VecDeque<T>,
@@ -115,7 +113,7 @@ impl<T> BatchQueue<T> {
     /// with [`PushOutcome::Closed`]; a full one sheds with
     /// [`PushOutcome::Full`]. The item is dropped on refusal.
     pub fn push(&self, item: T) -> PushOutcome {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if state.closed {
             return PushOutcome::Closed;
         }
@@ -135,7 +133,7 @@ impl<T> BatchQueue<T> {
     /// [`PushOutcome::Full`]: the outcome is `Queued`, or `Closed` when
     /// the queue shut down before space appeared.
     pub fn push_wait(&self, item: T) -> PushOutcome {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if state.closed {
                 return PushOutcome::Closed;
@@ -149,7 +147,7 @@ impl<T> BatchQueue<T> {
             state = self
                 .space
                 .wait(state)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -161,7 +159,7 @@ impl<T> BatchQueue<T> {
     pub fn pop_batch(&self, max_batch: usize, out: &mut Vec<T>) -> bool {
         out.clear();
         let cap = max_batch.max(1);
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if !state.items.is_empty() {
                 while out.len() < cap {
@@ -187,7 +185,7 @@ impl<T> BatchQueue<T> {
             state = self
                 .ready
                 .wait(state)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -195,19 +193,19 @@ impl<T> BatchQueue<T> {
     /// blocked consumers wake, consumers drain what remains and then see
     /// `false`. Idempotent.
     pub fn close(&self) {
-        self.state.lock().closed = true;
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
         self.ready.notify_all();
         self.space.notify_all();
     }
 
     /// Whether [`close`](BatchQueue::close) has run.
     pub fn is_closed(&self) -> bool {
-        self.state.lock().closed
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).closed
     }
 
     /// Items currently queued (snapshot; for tests and reporting).
     pub fn len(&self) -> usize {
-        self.state.lock().items.len()
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).items.len()
     }
 
     /// Whether nothing is queued right now.
@@ -251,7 +249,7 @@ impl<R> ResponseSlot<R> {
     /// tolerate, not a panic; delivery to an abandoned slot is the
     /// normal fate of a query whose client stopped waiting.
     pub fn fulfill(&self, value: R) -> bool {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if matches!(*state, SlotState::Empty) {
             *state = SlotState::Full(value);
             drop(state);
@@ -266,7 +264,7 @@ impl<R> ResponseSlot<R> {
     /// the same slot would block forever, so slots are single-consumer
     /// by convention (the server hands each one to exactly one client).
     pub fn wait(&self) -> R {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             match std::mem::replace(&mut *state, SlotState::Taken) {
                 SlotState::Full(value) => return value,
@@ -275,13 +273,13 @@ impl<R> ResponseSlot<R> {
             state = self
                 .filled
                 .wait(state)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Take the response if it has already arrived (non-blocking).
     pub fn try_take(&self) -> Option<R> {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         match std::mem::replace(&mut *state, SlotState::Taken) {
             SlotState::Full(value) => Some(value),
             other => {
@@ -298,7 +296,7 @@ impl<R> ResponseSlot<R> {
     /// on this slot. Returns `true` if a delivered response was
     /// discarded.
     pub fn abandon(&self) -> bool {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         matches!(
             std::mem::replace(&mut *state, SlotState::Taken),
             SlotState::Full(_)
@@ -330,20 +328,20 @@ impl<T> EpochCell<T> {
     /// under one lock, so a load never pairs an old epoch with a new
     /// value or vice versa.
     pub fn load(&self) -> (u64, Arc<T>) {
-        let state = self.state.lock();
+        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         (state.0, Arc::clone(&state.1))
     }
 
     /// The current epoch.
     pub fn epoch(&self) -> u64 {
-        self.state.lock().0
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).0
     }
 
     /// Install `value` as the new current, bumping the epoch. Returns
     /// the new epoch. Loads that already happened keep their old `Arc`;
     /// loads from now on see the new pair.
     pub fn swap(&self, value: Arc<T>) -> u64 {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         state.0 += 1;
         state.1 = value;
         state.0
@@ -558,6 +556,50 @@ mod tests {
         assert_eq!(*v0, 10);
         assert_eq!(cell.swap(Arc::new(30)), 2);
         assert_eq!(cell.epoch(), 2);
+    }
+
+    /// Panic while holding `lock`'s guard, leaving the mutex poisoned.
+    fn poison<T>(lock: &Mutex<T>) {
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
+            panic!("poisoning the state mutex");
+        }));
+        assert!(caught.is_err());
+        assert!(lock.is_poisoned());
+    }
+
+    #[test]
+    fn poisoned_state_mutexes_keep_working() {
+        let q = BatchQueue::bounded(2);
+        assert!(q.push(1).is_queued());
+        poison(&q.state);
+        assert!(q.push(2).is_queued());
+        assert_eq!(q.push(3), PushOutcome::Full { depth: 2 });
+        assert_eq!(q.len(), 2);
+        let mut batch = Vec::new();
+        assert!(q.pop_batch(1, &mut batch));
+        assert_eq!(batch, vec![1]);
+        assert_eq!(q.push_wait(3), PushOutcome::Queued);
+        q.close();
+        assert!(q.is_closed());
+        assert!(q.pop_batch(8, &mut batch));
+        assert_eq!(batch, vec![2, 3]);
+        assert!(!q.pop_batch(8, &mut batch));
+
+        let slot = ResponseSlot::new();
+        poison(&slot.state);
+        assert!(slot.fulfill(7));
+        assert!(!slot.fulfill(8), "second delivery is still refused");
+        assert_eq!(slot.wait(), 7);
+        assert!(slot.try_take().is_none());
+        assert!(!slot.abandon());
+
+        let cell = EpochCell::new(Arc::new(1u32));
+        poison(&cell.state);
+        assert_eq!(cell.swap(Arc::new(2)), 1);
+        let (epoch, value) = cell.load();
+        assert_eq!((epoch, *value), (1, 2));
+        assert_eq!(cell.epoch(), 1);
     }
 
     #[test]

@@ -9,13 +9,20 @@
 //! pipeline (`lamofinder`), the uniqueness null model and the discovery
 //! front-end (`motif-finder`) do not each carry a private copy.
 //!
-//! PR 4 adds the supervision layer (DESIGN.md §13): [`RunContext`]
-//! carries a cooperative [`CancelToken`] plus a deterministic work-tick
-//! budget, [`run_supervised`] isolates worker panics behind
-//! `catch_unwind`, and [`FaultPlan`] + the [`faultpoint!`] macro inject
-//! deterministic faults for the containment test suites. The only
-//! wall-clock-aware piece is [`realtime::Deadline`], confined to the
-//! bench/CLI boundary.
+//! [`run_supervised`] is the one way library code fans work out: it
+//! spawns `threads` workers on `std::thread::scope`, passes each its
+//! index in `0..threads` (pools shard their items with [`strided`]),
+//! and isolates worker panics behind `catch_unwind` (DESIGN.md §13).
+//! [`RunContext`] carries a cooperative [`CancelToken`] plus a
+//! deterministic work-tick budget, and [`FaultPlan`] + the
+//! [`faultpoint!`] macro inject deterministic faults for the
+//! containment test suites. The only wall-clock-aware piece is
+//! [`realtime::Deadline`], confined to the bench/CLI boundary.
+//!
+//! Locks are plain `std::sync` locks. Every acquisition recovers
+//! through poison with `unwrap_or_else(PoisonError::into_inner)`: no
+//! critical section here leaves its state half-updated, and a panic is
+//! reported by the supervisor that caught it, not by a poison error.
 
 pub mod batch;
 pub mod realtime;
@@ -29,4 +36,4 @@ pub use supervise::{
     run_supervised, CancelToken, FaultAction, FaultArm, FaultPlan, InjectedFault, Interrupted,
     PoolOutcome, RunContext, WorkQueue, WorkerPanic,
 };
-pub use threads::{resolve_threads, split_chunks, strided};
+pub use threads::{resolve_threads, strided};

@@ -239,7 +239,7 @@ mod tests {
         cache.poison_shard(&7);
         assert_eq!(cache.get_or_insert_with(7, || 700), 700, "rebuilt entry");
         assert_eq!(cache.get(&7), Some(700));
-        assert!(cache.len() >= 1, "len traverses every shard post-recovery");
+        assert_eq!(cache.len(), 1, "len traverses every shard post-recovery");
     }
 
     #[test]

@@ -25,13 +25,12 @@
 //! resume-equality suites drive the layer deterministically.
 
 use crate::ShardedCache;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Shared cooperative cancellation flag.
 ///
@@ -287,7 +286,7 @@ impl RunContext {
     fn faultpoint_action(&self, site: &str) -> Option<FaultAction> {
         let state = self.faults.as_ref()?;
         let hit = {
-            let mut hits = state.hits.lock();
+            let mut hits = state.hits.lock().unwrap_or_else(PoisonError::into_inner);
             let count = hits.entry(site.to_string()).or_insert(0);
             let hit = *count;
             *count += 1;
@@ -441,11 +440,14 @@ pub struct PoolOutcome<T> {
 }
 
 /// Run `worker` on `threads` scoped workers with per-worker panic
-/// isolation. Each worker body runs under `catch_unwind`; a panic
-/// marks the context ([`RunContext::worker_panicked`]) and trips the
-/// cancel token so siblings drain cooperatively, then all workers are
-/// joined and the first panic (in worker-index order, deterministic)
-/// is reported in the [`PoolOutcome`]. `threads <= 1` runs inline with
+/// isolation. Worker `i` is called as `worker(i)`, with the indices
+/// `0..threads` each handed out once, so a pool can shard its items
+/// with [`crate::strided`]. Each worker body runs under
+/// `catch_unwind`; a panic marks the context
+/// ([`RunContext::worker_panicked`]) and trips the cancel token so
+/// siblings drain cooperatively, then all workers are joined and the
+/// first panic (in worker-index order, deterministic) is reported in
+/// the [`PoolOutcome`]. `threads <= 1` runs `worker(0)` inline with
 /// identical semantics.
 pub fn run_supervised<T, F>(
     threads: usize,
@@ -455,60 +457,53 @@ pub fn run_supervised<T, F>(
 ) -> PoolOutcome<T>
 where
     T: Send,
-    F: Fn() -> T + Sync,
+    F: Fn(usize) -> T + Sync,
 {
-    let guarded = || match catch_unwind(AssertUnwindSafe(&worker)) {
-        Ok(v) => Ok(v),
-        Err(payload) => {
+    let guarded = |wid: usize| {
+        catch_unwind(AssertUnwindSafe(|| worker(wid))).map_err(|payload| {
             ctx.mark_panicked();
-            Err(WorkerPanic {
+            WorkerPanic {
                 stage,
                 detail: panic_detail(payload.as_ref()),
-            })
-        }
+            }
+        })
     };
-    if threads <= 1 {
-        return match guarded() {
-            Ok(v) => PoolOutcome {
-                results: vec![v],
-                panic: None,
-            },
-            Err(p) => PoolOutcome {
-                results: Vec::new(),
-                panic: Some(p),
-            },
-        };
-    }
-    crossbeam::scope(|scope| {
-        let guarded = &guarded;
-        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(move |_| guarded())).collect();
-        let mut results = Vec::new();
-        let mut panic = None;
-        for handle in handles {
-            match handle.join() {
-                Ok(Ok(v)) => results.push(v),
-                Ok(Err(p)) => {
-                    if panic.is_none() {
-                        panic = Some(p);
-                    }
-                }
-                // Unreachable in practice: the worker body is fully
-                // wrapped in catch_unwind. Kept as a typed fallback so
-                // a join failure can never unwind the supervisor.
-                Err(_) => {
-                    ctx.mark_panicked();
-                    if panic.is_none() {
-                        panic = Some(WorkerPanic {
+    let joined: Vec<Result<T, WorkerPanic>> = if threads <= 1 {
+        vec![guarded(0)]
+    } else {
+        std::thread::scope(|scope| {
+            let guarded = &guarded;
+            let handles: Vec<_> = (0..threads)
+                .map(|wid| scope.spawn(move || guarded(wid)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|handle| {
+                    // Unreachable in practice: the worker body is fully
+                    // wrapped in catch_unwind. Kept as a typed fallback
+                    // so a join failure can never unwind the supervisor.
+                    handle.join().unwrap_or_else(|_| {
+                        ctx.mark_panicked();
+                        Err(WorkerPanic {
                             stage,
                             detail: "worker panicked outside the unwind guard".to_string(),
-                        });
-                    }
-                }
+                        })
+                    })
+                })
+                .collect()
+        })
+    };
+    let mut results = Vec::new();
+    let mut panic = None;
+    for outcome in joined {
+        match outcome {
+            Ok(v) => results.push(v),
+            Err(p) => {
+                panic.get_or_insert(p);
             }
         }
-        PoolOutcome { results, panic }
-    })
-    .expect("all worker panics are caught inside the scope")
+    }
+    PoolOutcome { results, panic }
 }
 
 /// Render a caught panic payload: injected faults, `&str` and `String`
@@ -617,7 +612,7 @@ mod tests {
     fn injected_panic_is_caught_and_named() {
         let plan = FaultPlan::new().inject("boom.site", 0, FaultAction::Panic);
         let ctx = RunContext::unbounded().with_faults(plan);
-        let outcome = run_supervised(1, "test.stage", &ctx, || {
+        let outcome = run_supervised(1, "test.stage", &ctx, |_| {
             faultpoint!(&ctx, "boom.site");
             7u32
         });
@@ -634,7 +629,7 @@ mod tests {
         let queue = WorkQueue::new(64);
         let ctx = RunContext::unbounded();
         let hits = AtomicU64::new(0);
-        let outcome = run_supervised(4, "test.stage", &ctx, || {
+        let outcome = run_supervised(4, "test.stage", &ctx, |_| {
             let mut local = 0u64;
             while let Some(i) = queue.pull() {
                 if ctx.should_stop() {
@@ -655,6 +650,18 @@ mod tests {
             3,
             "the three sibling workers drain and return their results"
         );
+    }
+
+    #[test]
+    fn workers_receive_each_index_once() {
+        for threads in [1usize, 2, 4] {
+            let ctx = RunContext::unbounded();
+            let outcome = run_supervised(threads, "test.stage", &ctx, |wid| wid);
+            assert!(outcome.panic.is_none());
+            let mut ids = outcome.results;
+            ids.sort_unstable();
+            assert_eq!(ids, (0..threads).collect::<Vec<_>>(), "threads {threads}");
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Thread-budget resolution and deterministic work chunking.
+//! Thread-budget resolution and deterministic work sharding.
 //!
 //! All `threads` configuration knobs in the workspace share one
 //! convention: `0` means one worker per available core, any other value
-//! is taken literally. Work is split with [`split_chunks`] so that the
-//! chunking — and therefore the merged output — depends only on the
-//! item order and the chunk count, never on scheduling.
+//! is taken literally. Work is split with [`strided`] over the worker
+//! index [`crate::run_supervised`] passes in, so that each worker's
+//! share — and therefore the merged output — depends only on the item
+//! order and the worker count, never on scheduling.
 
 /// Resolve a `threads` knob: `0` = one worker per available core.
 pub fn resolve_threads(threads: usize) -> usize {
@@ -27,20 +28,6 @@ pub fn strided(total: usize, workers: usize, worker: usize) -> impl Iterator<Ite
     (worker..total).step_by(workers.max(1))
 }
 
-/// Round-robin split of `items` into at most `parts` non-empty chunks.
-/// Round-robin balances workloads that vary monotonically with the item
-/// index (e.g. SO matrix row `i` has `n − i − 1` entries); within each
-/// chunk the original item order is preserved.
-pub fn split_chunks<T: Copy>(items: &[T], parts: usize) -> Vec<Vec<T>> {
-    let parts = parts.max(1);
-    let mut chunks: Vec<Vec<T>> = vec![Vec::new(); parts];
-    for (i, &item) in items.iter().enumerate() {
-        chunks[i % parts].push(item);
-    }
-    chunks.retain(|c| !c.is_empty());
-    chunks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,31 +41,6 @@ mod tests {
     #[test]
     fn zero_resolves_to_at_least_one() {
         assert!(resolve_threads(0) >= 1);
-    }
-
-    #[test]
-    fn chunks_cover_all_items_in_order() {
-        let items: Vec<u32> = (0..10).collect();
-        let chunks = split_chunks(&items, 3);
-        assert_eq!(chunks.len(), 3);
-        for chunk in &chunks {
-            assert!(chunk.windows(2).all(|w| w[0] < w[1]));
-        }
-        let mut all: Vec<u32> = chunks.concat();
-        all.sort_unstable();
-        assert_eq!(all, items);
-    }
-
-    #[test]
-    fn more_parts_than_items_drops_empty_chunks() {
-        let chunks = split_chunks(&[1, 2], 8);
-        assert_eq!(chunks, vec![vec![1], vec![2]]);
-    }
-
-    #[test]
-    fn zero_parts_treated_as_one() {
-        let chunks = split_chunks(&[1, 2, 3], 0);
-        assert_eq!(chunks, vec![vec![1, 2, 3]]);
     }
 
     #[test]

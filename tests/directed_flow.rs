@@ -14,6 +14,23 @@ fn dataset() -> GrnDataset {
     GrnDataset::generate(&GrnConfig::default())
 }
 
+/// Biological-process labeling tuned to the small GRN fixture.
+fn grn_config(threads: usize) -> LaMoFinderConfig {
+    LaMoFinderConfig {
+        namespace: Namespace::BiologicalProcess,
+        informative: InformativeConfig {
+            min_direct: 4,
+            ..Default::default()
+        },
+        clustering: ClusteringConfig {
+            sigma: 4,
+            ..Default::default()
+        },
+        threads,
+        ..Default::default()
+    }
+}
+
 #[test]
 fn ffl_is_found_as_a_directed_motif() {
     let d = dataset();
@@ -34,22 +51,7 @@ fn directed_labeling_separates_regulator_and_target_roles() {
     let d = dataset();
     let mut rng = SmallRng::seed_from_u64(3);
     let motifs = find_directed_motifs(&d.network, 3, 20, 6, 0.8, 500, &mut rng);
-    let labeler = LaMoFinder::new(
-        &d.ontology,
-        &d.annotations,
-        LaMoFinderConfig {
-            namespace: Namespace::BiologicalProcess,
-            informative: InformativeConfig {
-                min_direct: 4,
-                ..Default::default()
-            },
-            clustering: ClusteringConfig {
-                sigma: 4,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
+    let labeler = LaMoFinder::new(&d.ontology, &d.annotations, grn_config(0));
     let labeled = labeler.label_directed_motifs(&motifs);
     assert!(!labeled.is_empty(), "directed labeling must produce motifs");
     for lm in &labeled {
@@ -73,6 +75,29 @@ fn directed_labeling_separates_regulator_and_target_roles() {
                     );
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn directed_labeling_is_identical_at_any_thread_count() {
+    let d = dataset();
+    let mut rng = SmallRng::seed_from_u64(3);
+    // Uniqueness threshold 0: every frequent class is labeled, so the
+    // slice holds several motifs.
+    let motifs = find_directed_motifs(&d.network, 3, 20, 6, 0.0, 500, &mut rng);
+    assert!(motifs.len() > 1, "the multi-motif slice must fan out over motifs");
+    // Several motifs fan out at the motif level; a single motif moves
+    // the thread budget into its SO matrix rows.
+    for slice in [&motifs[..], &motifs[..1]] {
+        let render = |threads: usize| {
+            let labeler = LaMoFinder::new(&d.ontology, &d.annotations, grn_config(threads));
+            format!("{:?}", labeler.label_directed_motifs(slice))
+        };
+        let serial = render(1);
+        assert!(serial.contains("LabeledDirectedMotif"), "the slice labels something");
+        for threads in [2, 4] {
+            assert_eq!(render(threads), serial, "threads {threads}, {} motifs", slice.len());
         }
     }
 }
