@@ -1,5 +1,6 @@
-//! Posting-list form of the Eq. 5 predictor — the serving layer's
-//! O(postings) read path (DESIGN.md §16).
+//! Posting-list form of the Eq. 5 predictor — the O(postings) merge
+//! the serving layer compiles its per-protein answers with (DESIGN.md
+//! §16).
 //!
 //! [`LabeledMotifPredictor`](crate::LabeledMotifPredictor) answers
 //! "which functions does protein `p` have?" by re-walking **every**
@@ -22,7 +23,6 @@
 
 use crate::lms::lms_scores;
 use lamofinder::LabeledMotif;
-use std::collections::HashMap;
 
 /// One appearance of a protein in the labeled-motif dictionary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,6 +44,8 @@ pub struct Posting {
 #[derive(Default)]
 pub struct PredictScratch {
     scores: Vec<f64>,
+    /// 1.0 at the queried protein's own categories, 0.0 elsewhere.
+    own: Vec<f64>,
     ranked: Vec<(u32, f64)>,
 }
 
@@ -148,19 +150,28 @@ impl PostingIndex {
             };
             total as usize
         ];
-        // Multiplicity of (protein, position) within one motif; the map
-        // is rebuilt per motif and only ever *looked up*, never
-        // iterated, so no hash order reaches the output.
-        let mut occupancy: HashMap<(u32, u32), u32> = HashMap::new();
+        // Multiplicity of (protein, position) within one motif, counted
+        // in a dense `protein_count × k` array shared by every motif:
+        // slot `p * k + v`. Only the slots a motif touched are zeroed
+        // again after it, so the reset costs what the count did.
+        let max_size = motifs.iter().map(LabeledMotif::size).max().unwrap_or(0);
+        let mut occupancy = vec![0u32; protein_count * max_size];
         for (mi, motif) in motifs.iter().enumerate() {
             if lms[mi] <= 0.0 {
                 continue;
             }
-            occupancy.clear();
-            for occ in &motif.occurrences {
-                for (v, &protein) in occ.vertices.iter().enumerate() {
-                    *occupancy.entry((protein.0, v as u32)).or_insert(0) += 1;
-                }
+            let k = motif.size();
+            let occupants = || {
+                motif.occurrences.iter().flat_map(|occ| {
+                    occ.vertices
+                        .iter()
+                        .enumerate()
+                        .map(|(v, &protein)| (v, protein.index()))
+                        .filter(|&(_, p)| p < protein_count)
+                })
+            };
+            for (v, p) in occupants() {
+                occupancy[p * k + v] += 1;
             }
             for (oi, occ) in motif.occurrences.iter().enumerate() {
                 for (v, &protein) in occ.vertices.iter().enumerate() {
@@ -174,12 +185,12 @@ impl PostingIndex {
                         motif: mi as u32,
                         occurrence: oi as u32,
                         position: v as u32,
-                        multiplicity: occupancy
-                            .get(&(protein.0, v as u32))
-                            .copied()
-                            .unwrap_or(0),
+                        multiplicity: occupancy[p * k + v],
                     };
                 }
+            }
+            for (v, p) in occupants() {
+                occupancy[p * k + v] = 0;
             }
         }
 
@@ -238,24 +249,27 @@ impl PostingIndex {
         let c_n = self.n_categories as usize;
         scratch.scores.clear();
         scratch.scores.resize(c_n, 0.0);
-        let own_functions =
-            &self.functions[self.function_offsets[p] as usize..self.function_offsets[p + 1] as usize];
-        let postings =
-            &self.postings[self.posting_offsets[p] as usize..self.posting_offsets[p + 1] as usize];
+        scratch.own.clear();
+        scratch.own.resize(c_n, 0.0);
+        for &c in self.functions_of(p) {
+            scratch.own[c as usize] = 1.0;
+        }
+        let postings = self.postings_of(p);
         for posting in postings {
             let m = posting.motif as usize;
             let strength = self.lms[m];
             let plane = self.count_offsets[m] as usize + posting.position as usize * c_n;
             let counts = &self.counts[plane..plane + c_n];
             let mult = posting.multiplicity as f64;
-            for (c, &count) in counts.iter().enumerate() {
+            let cells = scratch.scores.iter_mut().zip(counts).zip(&scratch.own);
+            for ((score, &count), &flag) in cells {
                 // Same operand construction as the oracle: the protein's
                 // own occupancies of this position are removed before
                 // the vote is weighed.
-                let own = mult * f64::from(own_functions.contains(&(c as u32)));
+                let own = mult * flag;
                 let delta = count - own;
                 if delta > 0.0 {
-                    scratch.scores[c] += delta * strength;
+                    *score += delta * strength;
                 }
             }
         }

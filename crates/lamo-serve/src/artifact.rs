@@ -79,7 +79,8 @@ impl ModelArtifact {
     /// Eq. 5 for protein `p`: ranked `(category, score)` list borrowed
     /// from the caller's scratch, plus the number of postings consumed
     /// (the server's work-tick count). O(|postings(p)| · C), zero
-    /// allocation once the scratch is warm.
+    /// allocation once the scratch is warm. The server calls it once
+    /// per protein when it installs the artifact, and serves the rows.
     pub fn predict_into<'s>(
         &self,
         p: usize,

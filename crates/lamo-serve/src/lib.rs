@@ -9,8 +9,9 @@
 //! protein `p` have?" (Eq. 5) is an O(|postings(p)|) merge instead of a
 //! full scan; [`format`] gives the artifact a versioned, checksummed
 //! binary form so a server loads once and answers from flat buffers;
-//! and [`Server`] fronts it with N worker threads sharing one
-//! `Arc<ModelArtifact>`.
+//! and [`Server`] runs that merge once per protein when it installs an
+//! artifact, then answers from the compiled rows with N worker threads
+//! sharing one `Arc`.
 //!
 //! Determinism and safety rules, enforced by lamolint:
 //!

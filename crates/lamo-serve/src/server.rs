@@ -1,9 +1,15 @@
 //! Multi-worker query front end over a hot-swappable [`ModelArtifact`].
 //!
-//! N worker threads drain a [`BatchQueue`] of requests; each worker
-//! owns one [`PredictScratch`] for its whole life, so the steady-state
-//! read path allocates only the response vectors it hands back.
-//! Everything the workers *read* — the artifact — sits behind an
+//! Installing an artifact ([`Server::start`], [`Server::swap_artifact`])
+//! compiles its answer table on the installing thread: the ranked
+//! Eq. 5 row of every protein with postings, each computed by
+//! [`ModelArtifact::predict_into`] and so bitwise the postings merge's
+//! answer, plus one shared all-zero row for every posting-free protein.
+//! N worker threads drain a [`BatchQueue`] of requests and answer each
+//! by copying its row, so the read path allocates only the response
+//! vectors it hands back and never walks postings. Everything the
+//! workers *read* — the artifact and its table, installed together as
+//! one value — sits behind an
 //! epoch-counted `Arc` snapshot with no locks held across prediction
 //! (lamolint's `serve-read-lock` rule checks the crate); the only
 //! synchronization is the request queue, the per-request
@@ -21,10 +27,12 @@
 //!   with an absolute tick deadline (admission tick + budget); expiry
 //!   is checked only at dequeue, so answered work is always complete —
 //!   a prediction is never torn down mid-flight.
-//! * **Hot swap.** [`Server::swap_artifact`] installs a new artifact in
-//!   the [`EpochCell`]. Workers snapshot `(epoch, artifact)` once per
-//!   request; in-flight queries finish entirely on the epoch they
-//!   loaded and every [`Prediction`] records which epoch answered it.
+//! * **Hot swap.** [`Server::swap_artifact`] validates a new artifact,
+//!   compiles its answer table on the caller's thread (charging no
+//!   ticks) and installs the pair in the [`EpochCell`]. Workers
+//!   snapshot `(epoch, model)` once per request; in-flight queries
+//!   finish entirely on the epoch they loaded and every [`Prediction`]
+//!   records which epoch answered it.
 //! * **Panic containment.** All per-request work — including every
 //!   `faultpoint!` site — runs inside one `catch_unwind`; the client
 //!   gets [`ServeError::WorkerPanicked`], the worker and its siblings
@@ -36,11 +44,12 @@
 //! Determinism: batching is FIFO arrival order capped at
 //! [`ServeConfig::max_batch`] — no timers, no wall clock anywhere in
 //! the query path; load is metered in [`RunContext`] work ticks (one
-//! per posting consumed), charged *after* a response is delivered so a
+//! per posting of the answered protein — what the merge behind its
+//! row consumed), charged *after* a response is delivered so a
 //! budget trip fails the next query, never one already served.
 
 use crate::artifact::ModelArtifact;
-use function_prediction::PredictScratch;
+use function_prediction::{rank_scores, PredictScratch};
 use par_util::faultpoint;
 use par_util::{BatchQueue, EpochCell, PushOutcome, ResponseSlot, RunContext};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -139,7 +148,8 @@ pub struct Prediction {
     /// Categories ranked by Eq. 5 score (descending, index ascending on
     /// ties) — bitwise identical to the full-scan oracle's ranking.
     pub ranked: Vec<(u32, f64)>,
-    /// Postings consumed answering this query (= work ticks charged).
+    /// Postings of the protein — what the Eq. 5 merge behind its
+    /// answer consumed (= work ticks charged).
     pub postings: usize,
     /// Artifact epoch that answered: 0 for the artifact the server
     /// started with, bumped by each [`Server::swap_artifact`]. Every
@@ -223,12 +233,76 @@ impl ServerStats {
     }
 }
 
+/// Every protein's ranked Eq. 5 answer, compiled from one artifact
+/// when it is installed. Proteins with postings own a row each; every
+/// posting-free protein shares row 0, `rank_scores` of all zeros, which
+/// is what `predict_into` returns for them.
+struct AnswerTable {
+    /// Entries per row: the artifact's category count.
+    width: usize,
+    /// Row index of each protein.
+    row_of: Vec<u32>,
+    /// The rows, `width` entries each, back to back.
+    rows: Vec<(u32, f64)>,
+}
+
+impl AnswerTable {
+    /// Compile every row with [`ModelArtifact::predict_into`], so each
+    /// row is bitwise the postings merge's answer. Charges no ticks.
+    fn compile(artifact: &ModelArtifact) -> AnswerTable {
+        let index = &artifact.index;
+        let width = index.n_categories as usize;
+        let protein_count = index.protein_count();
+        let with_postings = (0..protein_count)
+            .filter(|&p| !index.postings_of(p).is_empty())
+            .count();
+        let mut rows = Vec::with_capacity((1 + with_postings) * width);
+        rank_scores(&vec![0.0; width], &mut rows);
+        let mut row_of = vec![0u32; protein_count];
+        let mut next_row = 1u32;
+        let mut scratch = PredictScratch::new();
+        for (p, row) in row_of.iter_mut().enumerate() {
+            if index.postings_of(p).is_empty() {
+                continue;
+            }
+            *row = next_row;
+            next_row += 1;
+            rows.extend_from_slice(artifact.predict_into(p, &mut scratch).0);
+        }
+        AnswerTable {
+            width,
+            row_of,
+            rows,
+        }
+    }
+
+    /// Protein `p`'s ranked `(category, score)` row.
+    fn row(&self, p: usize) -> &[(u32, f64)] {
+        let start = self.row_of[p] as usize * self.width;
+        &self.rows[start..start + self.width]
+    }
+}
+
+/// What one epoch serves: an artifact and the answers compiled from it,
+/// installed together so an epoch is always one model.
+struct Installed {
+    artifact: Arc<ModelArtifact>,
+    answers: AnswerTable,
+}
+
+impl Installed {
+    fn compile(artifact: Arc<ModelArtifact>) -> Arc<Installed> {
+        let answers = AnswerTable::compile(&artifact);
+        Arc::new(Installed { artifact, answers })
+    }
+}
+
 /// The serving front end. Workers run until [`Server::shutdown`] or
 /// drop.
 pub struct Server {
     queue: Arc<BatchQueue<Request>>,
     ctx: Arc<RunContext>,
-    cell: Arc<EpochCell<ModelArtifact>>,
+    cell: Arc<EpochCell<Installed>>,
     stats: Arc<ServerStats>,
     /// Set by [`Server::shutdown_now`]: workers fail still-queued
     /// requests with [`ServeError::Closed`] instead of serving them.
@@ -238,11 +312,16 @@ pub struct Server {
 }
 
 impl Server {
-    /// Spawn the worker pool. The context meters served work: one tick
-    /// per posting consumed, so `RunContext::with_tick_budget` bounds
-    /// total service deterministically and `ctx.cancel()` (or the
-    /// realtime `Deadline` adapter at the CLI boundary) stops the pool
-    /// gracefully.
+    /// Compile the artifact's answer table on the calling thread, then
+    /// spawn the worker pool. The context meters served work: one tick
+    /// per posting of each answered protein, so
+    /// `RunContext::with_tick_budget` bounds total service
+    /// deterministically and `ctx.cancel()` (or the realtime `Deadline`
+    /// adapter at the CLI boundary) stops the pool gracefully. The
+    /// compile charges no ticks.
+    ///
+    /// The artifact is trusted as given: [`ModelArtifact::build`] and
+    /// [`crate::read_artifact`] only yield valid ones.
     pub fn start(artifact: Arc<ModelArtifact>, config: ServeConfig, ctx: Arc<RunContext>) -> Server {
         let worker_count = par_util::resolve_threads(config.workers);
         let queue: Arc<BatchQueue<Request>> = if config.queue_depth == 0 {
@@ -250,7 +329,7 @@ impl Server {
         } else {
             Arc::new(BatchQueue::bounded(config.queue_depth))
         };
-        let cell = Arc::new(EpochCell::new(artifact));
+        let cell = Arc::new(EpochCell::new(Installed::compile(artifact)));
         let stats = Arc::new(ServerStats::default());
         let closing = Arc::new(AtomicBool::new(false));
         let workers = (0..worker_count)
@@ -279,7 +358,7 @@ impl Server {
 
     /// The artifact currently being served (the newest epoch's).
     pub fn artifact(&self) -> Arc<ModelArtifact> {
-        self.cell.load().1
+        Arc::clone(&self.cell.load().1.artifact)
     }
 
     /// The current artifact epoch (0 until the first swap).
@@ -300,13 +379,16 @@ impl Server {
     /// held only long enough to clone an `Arc`.
     ///
     /// The artifact is validated first; a structurally invalid one is
-    /// refused and the current epoch keeps serving. An injected
-    /// `serve.swap` fault fires *before* the install, so a mid-swap
-    /// crash leaves the old epoch intact.
+    /// refused and the current epoch keeps serving. A valid one has its
+    /// answer table compiled here, on the calling thread, charging no
+    /// ticks; workers keep answering from the old epoch meanwhile. An
+    /// injected `serve.swap` fault fires *before* the install, so a
+    /// mid-swap crash leaves the old epoch intact.
     pub fn swap_artifact(&self, artifact: Arc<ModelArtifact>) -> Result<u64, &'static str> {
         artifact.validate()?;
+        let installed = Installed::compile(artifact);
         faultpoint!(self.ctx, "serve.swap");
-        let epoch = self.cell.swap(artifact);
+        let epoch = self.cell.swap(installed);
         self.stats.swaps.fetch_add(1, Ordering::Relaxed);
         Ok(epoch)
     }
@@ -337,7 +419,7 @@ impl Server {
     }
 
     fn admit(&self, protein: usize, budget: Option<u64>) -> Result<PendingQuery, ServeError> {
-        let protein_count = self.artifact().protein_count();
+        let protein_count = self.cell.load().1.artifact.protein_count();
         if protein >= protein_count {
             return Err(ServeError::UnknownProtein {
                 protein,
@@ -436,13 +518,12 @@ impl Drop for Server {
 
 fn worker_loop(
     queue: &BatchQueue<Request>,
-    cell: &EpochCell<ModelArtifact>,
+    cell: &EpochCell<Installed>,
     ctx: &RunContext,
     stats: &ServerStats,
     closing: &AtomicBool,
     max_batch: usize,
 ) {
-    let mut scratch = PredictScratch::new();
     let mut batch: Vec<Request> = Vec::new();
     while queue.pop_batch(max_batch, &mut batch) {
         for request in batch.drain(..) {
@@ -450,25 +531,24 @@ fn worker_loop(
                 request.slot.fulfill(Err(ServeError::Closed));
                 continue;
             }
-            serve_one(request, cell, ctx, stats, &mut scratch);
+            serve_one(request, cell, ctx, stats);
         }
     }
 }
 
 /// Serve one dequeued request. *Everything* fallible — the dequeue,
-/// predict, and fulfill faultpoints and the prediction itself — runs
+/// predict, and fulfill faultpoints and the row lookup itself — runs
 /// inside one `catch_unwind`, so an injected or organic panic anywhere
 /// in the per-request path degrades to [`ServeError::WorkerPanicked`]
 /// and the slot is still fulfilled exactly once, outside the guard.
 fn serve_one(
     request: Request,
-    cell: &EpochCell<ModelArtifact>,
+    cell: &EpochCell<Installed>,
     ctx: &RunContext,
     stats: &ServerStats,
-    scratch: &mut PredictScratch,
 ) {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        answer(request.protein, request.deadline, cell, ctx, scratch)
+        answer(request.protein, request.deadline, cell, ctx)
     }));
     let (response, ticks) = match outcome {
         Ok(answered) => answered,
@@ -492,9 +572,8 @@ fn serve_one(
 fn answer(
     protein: usize,
     deadline: Option<u64>,
-    cell: &EpochCell<ModelArtifact>,
+    cell: &EpochCell<Installed>,
     ctx: &RunContext,
-    scratch: &mut PredictScratch,
 ) -> (Response, u64) {
     faultpoint!(ctx, "serve.dequeue");
     if ctx.should_stop() {
@@ -507,11 +586,11 @@ fn answer(
             return (Err(ServeError::DeadlineExpired), 0);
         }
     }
-    let (epoch, artifact) = cell.load();
+    let (epoch, model) = cell.load();
     // Admission checked bounds against the artifact of its moment; a
     // swap to a smaller network in between must degrade to a typed
     // refusal, not an out-of-range panic.
-    let protein_count = artifact.protein_count();
+    let protein_count = model.artifact.protein_count();
     if protein >= protein_count {
         return (
             Err(ServeError::UnknownProtein {
@@ -522,10 +601,12 @@ fn answer(
         );
     }
     faultpoint!(ctx, "serve.predict");
-    let (ranked, postings) = artifact.predict_into(protein, scratch);
+    // The answer was compiled at install; the query is charged the
+    // postings the merge would have consumed.
+    let postings = model.artifact.index.postings_of(protein).len();
     let prediction = Prediction {
         protein,
-        ranked: ranked.to_vec(),
+        ranked: model.answers.row(protein).to_vec(),
         postings,
         epoch,
     };
@@ -596,6 +677,43 @@ mod tests {
                 category_terms: &terms,
             },
         ))
+    }
+
+    /// A third artifact: protein 1 sits in every occurrence (the heavy
+    /// one) and protein 4 in none (posting-free).
+    fn hub_artifact() -> Arc<ModelArtifact> {
+        let motifs = vec![LabeledMotif {
+            pattern: Graph::from_edges(2, &[(0, 1)]),
+            namespace: Namespace::BiologicalProcess,
+            scheme: LabelingScheme::new(vec![VertexLabel::unknown(); 2]),
+            occurrences: vec![
+                Occurrence::new(vec![VertexId(0), VertexId(1)]),
+                Occurrence::new(vec![VertexId(2), VertexId(1)]),
+                Occurrence::new(vec![VertexId(3), VertexId(1)]),
+                Occurrence::new(vec![VertexId(1), VertexId(0)]),
+            ],
+            motif_frequency: 4,
+            uniqueness: Some(1.0),
+        }];
+        let network = Graph::from_edges(5, &[(0, 1), (2, 1), (3, 1)]);
+        let functions = vec![vec![0, 2], vec![1], vec![2], vec![0], vec![1]];
+        let terms = vec![TermId(10), TermId(20), TermId(30)];
+        Arc::new(ModelArtifact::build(
+            &motifs,
+            &PredictionContext {
+                network: &network,
+                functions: &functions,
+                n_categories: 3,
+                category_terms: &terms,
+            },
+        ))
+    }
+
+    fn assert_bitwise(got: &Prediction, want: &Prediction) {
+        assert_eq!(got, want);
+        for (g, w) in got.ranked.iter().zip(&want.ranked) {
+            assert_eq!(g.1.to_bits(), w.1.to_bits(), "protein {}", got.protein);
+        }
     }
 
     fn expected(artifact: &ModelArtifact, p: usize, epoch: u64) -> Prediction {
@@ -704,7 +822,7 @@ mod tests {
         let server = Server {
             queue: Arc::new(BatchQueue::bounded(2)),
             ctx: Arc::clone(&ctx),
-            cell: Arc::new(EpochCell::new(Arc::clone(&artifact))),
+            cell: Arc::new(EpochCell::new(Installed::compile(Arc::clone(&artifact)))),
             stats: Arc::new(ServerStats::default()),
             closing: Arc::new(AtomicBool::new(false)),
             admission: AdmissionPolicy::Shed,
@@ -741,7 +859,7 @@ mod tests {
         let server = Server {
             queue: Arc::new(BatchQueue::new()),
             ctx: Arc::clone(&ctx),
-            cell: Arc::new(EpochCell::new(Arc::clone(&artifact))),
+            cell: Arc::new(EpochCell::new(Installed::compile(Arc::clone(&artifact)))),
             stats: Arc::new(ServerStats::default()),
             closing: Arc::new(AtomicBool::new(false)),
             admission: AdmissionPolicy::Shed,
@@ -797,6 +915,45 @@ mod tests {
     }
 
     #[test]
+    fn swapped_in_answers_equal_the_new_artifacts_merge() {
+        let hub = hub_artifact();
+        assert_eq!(hub.index.postings_of(4).len(), 0);
+        assert_eq!(hub.index.postings_of(1).len(), 4);
+        let server = Server::start(
+            artifact(),
+            ServeConfig::default(),
+            Arc::new(RunContext::unbounded()),
+        );
+        assert_eq!(server.swap_artifact(Arc::clone(&hub)), Ok(1));
+        for p in [4, 1] {
+            let got = server.query(p).expect("in range");
+            assert_bitwise(&got, &expected(&hub, p, 1));
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn ticks_are_answered_postings_and_compiles_charge_none() {
+        let ctx = Arc::new(RunContext::metered());
+        let server = Server::start(artifact(), ServeConfig::default(), Arc::clone(&ctx));
+        assert_eq!(ctx.ticks_spent(), 0);
+        let hub = hub_artifact();
+        assert_eq!(server.swap_artifact(Arc::clone(&hub)), Ok(1));
+        assert_eq!(ctx.ticks_spent(), 0);
+        let asked = [1, 4, 0, 1, 3];
+        let mut want = 0;
+        for &p in &asked {
+            let got = server.query(p).expect("in range");
+            assert_eq!(got.postings, hub.index.postings_of(p).len());
+            want += got.postings as u64;
+        }
+        // Ticks are charged after delivery; joining the worker settles them.
+        server.shutdown();
+        assert_eq!(ctx.ticks_spent(), want);
+        assert_eq!(want, 11, "proteins 1, 4, 0, 1, 3 hold 4, 0, 2, 4, 1 postings");
+    }
+
+    #[test]
     fn request_admitted_before_shrinking_swap_gets_typed_refusal() {
         let big = artifact();
         let small = small_artifact();
@@ -806,7 +963,7 @@ mod tests {
         let server = Server {
             queue: Arc::new(BatchQueue::new()),
             ctx: Arc::clone(&ctx),
-            cell: Arc::new(EpochCell::new(Arc::clone(&big))),
+            cell: Arc::new(EpochCell::new(Installed::compile(Arc::clone(&big)))),
             stats: Arc::new(ServerStats::default()),
             closing: Arc::new(AtomicBool::new(false)),
             admission: AdmissionPolicy::Shed,
@@ -817,9 +974,8 @@ mod tests {
         // Drain the queue by hand the way a worker would.
         let mut batch = Vec::new();
         assert!(server.queue.pop_batch(8, &mut batch));
-        let mut scratch = PredictScratch::new();
         for request in batch {
-            serve_one(request, &server.cell, &ctx, &server.stats, &mut scratch);
+            serve_one(request, &server.cell, &ctx, &server.stats);
         }
         assert_eq!(
             pending.wait(),
@@ -840,7 +996,7 @@ mod tests {
         let server = Server {
             queue: Arc::new(BatchQueue::new()),
             ctx: Arc::clone(&ctx),
-            cell: Arc::new(EpochCell::new(Arc::clone(&artifact))),
+            cell: Arc::new(EpochCell::new(Installed::compile(Arc::clone(&artifact)))),
             stats: Arc::new(ServerStats::default()),
             closing: Arc::new(AtomicBool::new(false)),
             admission: AdmissionPolicy::Shed,

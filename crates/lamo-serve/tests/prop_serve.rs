@@ -118,32 +118,46 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Single and batched queries at 1, 2, and 4 workers all agree
-    /// bitwise with the full-scan oracle.
+    /// bitwise with the full-scan oracle, each reports the protein's
+    /// posting count, and a metered context is charged exactly those
+    /// postings (the answer-table compile at start charges nothing).
     #[test]
     fn server_answers_match_oracle_at_every_worker_count(w in world_strategy()) {
         let (artifact, oracle) = build_artifact(&w);
         let artifact = Arc::new(artifact);
         let mut want = Vec::new();
         for workers in [1usize, 2, 4] {
+            let ctx = Arc::new(RunContext::metered());
             let server = Server::start(
                 Arc::clone(&artifact),
                 ServeConfig { workers, max_batch: 3, ..ServeConfig::default() },
-                Arc::new(RunContext::unbounded()),
+                Arc::clone(&ctx),
             );
+            prop_assert_eq!(ctx.ticks_spent(), 0);
             let proteins: Vec<usize> = (0..w.n).collect();
             let batched = server.query_batch(&proteins);
+            let mut answered_postings = 0u64;
             for p in 0..w.n {
                 let single = server.query(p).expect("in-range protein");
                 let from_batch = batched[p].as_ref().expect("in-range protein");
+                let postings = artifact.index.postings_of(p).len();
                 rank_scores(&oracle[p], &mut want);
                 prop_assert_eq!(single.protein, p);
+                prop_assert_eq!(single.postings, postings, "workers={} p={}", workers, p);
+                prop_assert_eq!(from_batch.postings, postings, "workers={} p={}", workers, p);
                 prop_assert_eq!(&single.ranked, &want, "workers={} p={}", workers, p);
                 prop_assert_eq!(&from_batch.ranked, &want, "workers={} p={}", workers, p);
                 for (got, expect) in single.ranked.iter().zip(&want) {
                     prop_assert_eq!(got.1.to_bits(), expect.1.to_bits());
                 }
+                for (got, expect) in from_batch.ranked.iter().zip(&want) {
+                    prop_assert_eq!(got.1.to_bits(), expect.1.to_bits());
+                }
+                answered_postings += 2 * postings as u64;
             }
+            // Ticks land after delivery; joining the workers settles them.
             server.shutdown();
+            prop_assert_eq!(ctx.ticks_spent(), answered_postings, "workers={}", workers);
         }
     }
 

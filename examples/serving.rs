@@ -76,7 +76,7 @@ fn main() {
         .map(|p| artifact.index.postings_of(p).len())
         .sum();
     println!(
-        "artifact: {} postings total (~{:.1} per protein — the per-query cost)",
+        "artifact: {} postings total (~{:.1} per protein — merged once per protein at install)",
         postings,
         postings as f64 / artifact.protein_count() as f64
     );

@@ -3,12 +3,15 @@
 //! prediction, evaluated leave-one-out against all four baselines.
 
 use function_prediction::{
-    Chi2Predictor, FunctionPredictor, LabeledMotifPredictor, LeaveOneOut, MrfPredictor,
-    NeighborCountingPredictor, PredictionContext, ProdistinPredictor,
+    rank_scores, Chi2Predictor, FunctionPredictor, LabeledMotifPredictor, LeaveOneOut,
+    MrfPredictor, NeighborCountingPredictor, PredictionContext, ProdistinPredictor,
 };
 use go_ontology::Namespace;
+use lamo_serve::{ModelArtifact, ServeConfig, Server};
 use lamofinder::{ClusteringConfig, LaMoFinder, LaMoFinderConfig};
 use motif_finder::{GrowthConfig, MotifFinder, MotifFinderConfig, UniquenessConfig};
+use par_util::RunContext;
+use std::sync::Arc;
 use synthetic_data::{MipsConfig, MipsDataset};
 
 struct World {
@@ -183,4 +186,60 @@ fn motif_predictor_outranks_neighbor_counting_on_regulon_targets() {
         motif_hits > nc_hits,
         "motif {motif_hits} vs NC {nc_hits} of {total} targets"
     );
+}
+
+#[test]
+fn served_answers_equal_the_full_scan_ranking() {
+    // The serving path end to end: compile the artifact from the labeled
+    // motifs, serve every protein, and hold each answer bitwise to the
+    // full-scan predictor's ranking and each query's ticks to its
+    // postings.
+    let w = world();
+    let ctx = PredictionContext {
+        network: &w.dataset.network,
+        functions: &w.functions,
+        n_categories: w.dataset.categories.len(),
+        category_terms: &w.dataset.categories,
+    };
+    let oracle = LabeledMotifPredictor::new(w.labeled.clone()).predict_all(&ctx);
+    let artifact = Arc::new(ModelArtifact::build(&w.labeled, &ctx));
+    let n = artifact.protein_count();
+    assert_eq!(oracle.len(), n);
+    let posting_free = (0..n)
+        .filter(|&p| artifact.index.postings_of(p).is_empty())
+        .count();
+    assert!(
+        posting_free > 0 && posting_free < n,
+        "the world must have proteins with and without postings ({posting_free} of {n} free)"
+    );
+    let proteins: Vec<usize> = (0..n).collect();
+    let mut want = Vec::new();
+    for workers in [1, 2] {
+        let meter = Arc::new(RunContext::metered());
+        let server = Server::start(
+            Arc::clone(&artifact),
+            ServeConfig {
+                workers,
+                ..ServeConfig::default()
+            },
+            Arc::clone(&meter),
+        );
+        let answers = server.query_batch(&proteins);
+        server.shutdown();
+        let mut postings = 0u64;
+        for (p, answer) in answers.into_iter().enumerate() {
+            let got = answer.expect("every protein is served");
+            rank_scores(&oracle[p], &mut want);
+            assert_eq!(got.protein, p);
+            assert_eq!(got.epoch, 0);
+            assert_eq!(got.postings, artifact.index.postings_of(p).len());
+            assert_eq!(got.ranked.len(), want.len(), "workers={workers} p={p}");
+            for (g, e) in got.ranked.iter().zip(&want) {
+                assert_eq!(g.0, e.0, "workers={workers} p={p}");
+                assert_eq!(g.1.to_bits(), e.1.to_bits(), "workers={workers} p={p}");
+            }
+            postings += got.postings as u64;
+        }
+        assert_eq!(meter.ticks_spent(), postings, "workers={workers}");
+    }
 }
