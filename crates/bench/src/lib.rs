@@ -1,6 +1,6 @@
 #![forbid(unsafe_code)]
 //! Shared harness for the per-table / per-figure benchmark binaries and
-//! the Criterion benches. See DESIGN.md §7 for the experiment index and
+//! the per-layer profiles. See DESIGN.md §7 for the experiment index and
 //! EXPERIMENTS.md for recorded paper-vs-measured results.
 
 pub mod report;

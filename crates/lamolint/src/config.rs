@@ -97,23 +97,6 @@ impl LintConfig {
         }
         config
     }
-
-    /// A stable fingerprint of the configuration, for cache invalidation:
-    /// any config change must re-run analysis.
-    pub fn fingerprint(&self) -> u64 {
-        let mut repr = String::new();
-        for p in &self.wall_clock_exempt {
-            repr.push_str("w:");
-            repr.push_str(p);
-            repr.push('\n');
-        }
-        for p in &self.hot_path {
-            repr.push_str("h:");
-            repr.push_str(p);
-            repr.push('\n');
-        }
-        crate::cache::fnv1a64(repr.as_bytes())
-    }
 }
 
 /// Drop a `#` comment, respecting double-quoted strings.
@@ -197,15 +180,5 @@ mod tests {
     fn load_missing_file_is_default() {
         let cfg = LintConfig::load(Path::new("/nonexistent/dir"));
         assert_eq!(cfg, LintConfig::default());
-    }
-
-    #[test]
-    fn fingerprint_tracks_every_section() {
-        let base = LintConfig::parse("[hot-path]\nitems = [\"a\"]\n");
-        let more = LintConfig::parse("[hot-path]\nitems = [\"a\", \"b\"]\n");
-        let clock = LintConfig::parse("[wall-clock]\nexempt = [\"a\"]\n");
-        assert_ne!(base.fingerprint(), more.fingerprint());
-        assert_ne!(base.fingerprint(), clock.fingerprint());
-        assert_eq!(base.fingerprint(), base.clone().fingerprint());
     }
 }

@@ -150,8 +150,8 @@ impl Rule {
 ///
 /// The derived ordering sorts by `(path, line, col, offset, rule,
 /// message)`; because `offset` increases exactly with `(line, col)` this
-/// is the `(path, offset, rule)` merge order the parallel driver
-/// promises, and it never interleaves findings from different files.
+/// is the `(path, offset, rule)` report order, and it never interleaves
+/// findings from different files.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Diagnostic {
     /// Workspace-relative path with forward slashes.

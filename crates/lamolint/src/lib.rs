@@ -24,17 +24,13 @@
 //! `forbid-unsafe`), hot-path allocation (`alloc-in-hot-loop`), and
 //! suppression hygiene (`bad-suppression`).
 //!
-//! The driver fans files out over [`par_util`] workers and merges
-//! per-file results in file order, so the report is byte-identical at
-//! any worker count; an incremental cache keyed by file-content
-//! [`cache::fnv1a64`] hash (`target/lamolint-cache.json`) makes warm
-//! re-runs O(changed files).
+//! The driver lints the sorted file list in order on one thread, so the
+//! report is deterministic by construction.
 //!
 //! Run `cargo run -p lamolint --release -- check` from anywhere in the
 //! workspace; see DESIGN.md §12 for the rule catalog, the suppression
 //! syntax, and the `lamolint.toml` exemption and hot-path lists.
 
-pub mod cache;
 pub mod config;
 pub mod dataflow;
 pub mod diag;
@@ -44,34 +40,14 @@ pub mod model;
 pub mod rules;
 pub mod suppress;
 
-use cache::{Cache, FileEntry};
 use config::LintConfig;
 use diag::{Diagnostic, ALL_RULES};
 #[cfg(test)]
 use diag::Rule;
-use rules::{FaultSite, FileOutcome, FileScope};
+use rules::{FaultSite, FileScope};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// Driver knobs for [`run_check_with`].
-#[derive(Clone, Copy, Debug)]
-pub struct RunOptions {
-    /// Worker threads; `0` = one per available core (the workspace-wide
-    /// convention of [`par_util::resolve_threads`]).
-    pub threads: usize,
-    /// Read/write `target/lamolint-cache.json`. Off = every file cold.
-    pub use_cache: bool,
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            threads: 0,
-            use_cache: true,
-        }
-    }
-}
 
 /// Aggregated result of linting a tree.
 pub struct Report {
@@ -81,10 +57,6 @@ pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
     /// Findings silenced by justified suppressions.
     pub suppressed: usize,
-    /// Files whose outcome was served from the incremental cache.
-    pub cache_hits: usize,
-    /// Files analyzed from scratch this run.
-    pub cache_misses: usize,
 }
 
 impl Report {
@@ -114,20 +86,16 @@ impl Report {
             out.push_str(&d.to_string());
             out.push('\n');
         }
-        let cache = format!(
-            "{} cached, {} analyzed",
-            self.cache_hits, self.cache_misses
-        );
         if self.diagnostics.is_empty() {
             out.push_str(&format!(
-                "lamolint: clean — {} files scanned ({cache}), {} finding(s) \
+                "lamolint: clean — {} files scanned, {} finding(s) \
                  suppressed with justification\n",
                 self.files.len(),
                 self.suppressed
             ));
         } else {
             out.push_str(&format!(
-                "lamolint: {} finding(s) in {} files scanned ({cache}, {} \
+                "lamolint: {} finding(s) in {} files scanned ({} \
                  suppressed)\n",
                 self.diagnostics.len(),
                 self.files.len(),
@@ -162,13 +130,10 @@ impl Report {
             .collect();
         format!(
             "{{\"files_scanned\": {}, \"findings\": {}, \"suppressed\": {}, \
-             \"cache_hits\": {}, \"cache_misses\": {}, \
              \"rule_counts\": {{{}}}, \"diagnostics\": [{}]}}",
             self.files.len(),
             self.diagnostics.len(),
             self.suppressed,
-            self.cache_hits,
-            self.cache_misses,
             counts.join(", "),
             diags.join(", ")
         )
@@ -194,26 +159,12 @@ pub fn json_str(s: &str) -> String {
     out
 }
 
-/// One file queued for analysis.
-struct WorkItem {
-    rel: String,
-    scope: FileScope,
-    src: String,
-    hash: u64,
-}
-
-/// [`run_check_with`] under default options (all cores, cache on).
-pub fn run_check(root: &Path) -> io::Result<Report> {
-    run_check_with(root, RunOptions::default())
-}
-
 /// Lint every `.rs` file under `<root>/crates` and `<root>/src`,
 /// honoring `<root>/lamolint.toml` exemptions and hot-path entries.
 ///
-/// Analysis is fanned out over [`par_util::strided`] shards and merged
-/// back in file order, so the report — and every byte of its JSON — is
-/// identical at any worker count and any cache temperature.
-pub fn run_check_with(root: &Path, opts: RunOptions) -> io::Result<Report> {
+/// Files are analyzed one after another in sorted path order, so the
+/// report — and every byte of its JSON — is a pure function of the tree.
+pub fn run_check(root: &Path) -> io::Result<Report> {
     let config = LintConfig::load(root);
     let mut files = Vec::new();
     for sub in ["crates", "src"] {
@@ -224,120 +175,27 @@ pub fn run_check_with(root: &Path, opts: RunOptions) -> io::Result<Report> {
     }
     files.sort();
 
-    // Per-file work list: the sorted order here fixes the merge order.
-    let mut work: Vec<WorkItem> = Vec::new();
+    let mut report = Report {
+        files: Vec::new(),
+        diagnostics: Vec::new(),
+        suppressed: 0,
+    };
+    // (declaring file, site) in path order — the walk is sorted, so
+    // cross-file duplicate blame is deterministic.
+    let mut sites: Vec<(String, FaultSite)> = Vec::new();
     for path in files {
         let rel = relative_slash_path(root, &path);
         let Some(scope) = FileScope::classify_with(&rel, &config) else {
             continue;
         };
         let src = fs::read_to_string(&path)?;
-        let hash = cache::fnv1a64(src.as_bytes());
-        work.push(WorkItem {
-            rel,
-            scope,
-            src,
-            hash,
-        });
-    }
-
-    let fingerprint = Cache::current_fingerprint(&config);
-    let cache_path = root.join("target").join("lamolint-cache.json");
-    let old_cache = if opts.use_cache {
-        Cache::load(&cache_path, fingerprint)
-    } else {
-        Cache::empty(fingerprint)
-    };
-
-    // Serve hits from the cache; queue the rest for the workers.
-    let mut outcomes: Vec<Option<FileOutcome>> = Vec::with_capacity(work.len());
-    let mut pending: Vec<usize> = Vec::new();
-    for (i, item) in work.iter().enumerate() {
-        if let Some(entry) = old_cache.lookup(&item.rel, item.hash) {
-            outcomes.push(Some(FileOutcome {
-                diagnostics: entry.diags.clone(),
-                suppressed: entry.suppressed,
-                faultpoints: entry.sites.clone(),
-            }));
-        } else {
-            outcomes.push(None);
-            pending.push(i);
-        }
-    }
-    let cache_hits = work.len() - pending.len();
-    let cache_misses = pending.len();
-
-    // Fan the misses out; each worker owns a strided shard of `pending`
-    // and writes results keyed by file index, so the merge below is a
-    // pure function of the sorted file list.
-    let workers = par_util::resolve_threads(opts.threads).min(pending.len()).max(1);
-    let computed: Vec<Vec<(usize, FileOutcome)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let work = &work;
-                let pending = &pending;
-                let config = &config;
-                s.spawn(move || {
-                    par_util::strided(pending.len(), workers, w)
-                        .map(|p| {
-                            let i = pending[p];
-                            let item = &work[i];
-                            let outcome = rules::check_source_with(
-                                &item.rel, &item.src, item.scope, config,
-                            );
-                            (i, outcome)
-                        })
-                        .collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("lint worker panicked"))
-            .collect()
-    });
-    for (i, outcome) in computed.into_iter().flatten() {
-        outcomes[i] = Some(outcome);
-    }
-
-    // Persist every outcome under the current fingerprint. Entries are
-    // rebuilt from scratch, so files deleted since the last run age out.
-    if opts.use_cache {
-        let mut new_cache = Cache::empty(fingerprint);
-        for (item, outcome) in work.iter().zip(&outcomes) {
-            let outcome = outcome.as_ref().expect("every file has an outcome");
-            new_cache.files.insert(
-                item.rel.clone(),
-                FileEntry {
-                    hash: item.hash,
-                    suppressed: outcome.suppressed,
-                    diags: outcome.diagnostics.clone(),
-                    sites: outcome.faultpoints.clone(),
-                },
-            );
-        }
-        // Cache write failure is not a lint failure; next run is cold.
-        let _ = new_cache.store(&cache_path);
-    }
-
-    let mut report = Report {
-        files: Vec::new(),
-        diagnostics: Vec::new(),
-        suppressed: 0,
-        cache_hits,
-        cache_misses,
-    };
-    // (site name, declaring file, site) in path order — the walk is
-    // sorted, so cross-file duplicate blame is deterministic.
-    let mut sites: Vec<(String, FaultSite)> = Vec::new();
-    for (item, outcome) in work.iter().zip(outcomes) {
-        let outcome = outcome.expect("every file has an outcome");
+        let outcome = rules::check_source_with(&rel, &src, scope, &config);
         for site in outcome.faultpoints {
-            sites.push((item.rel.clone(), site));
+            sites.push((rel.clone(), site));
         }
-        report.files.push(item.rel.clone());
         report.suppressed += outcome.suppressed;
         report.diagnostics.extend(outcome.diagnostics);
+        report.files.push(rel);
     }
     // Workspace-wide fault-site uniqueness: per-file duplicates were
     // already flagged in check_source; here every reuse of a name first
@@ -431,15 +289,11 @@ mod tests {
                 "msg with \"quote\"",
             )],
             suppressed: 3,
-            cache_hits: 1,
-            cache_misses: 0,
         };
         let json = report.to_json();
         assert!(json.starts_with("{\"files_scanned\": 1"));
         assert!(json.contains("\"findings\": 1"));
         assert!(json.contains("\"suppressed\": 3"));
-        assert!(json.contains("\"cache_hits\": 1"));
-        assert!(json.contains("\"cache_misses\": 0"));
         assert!(json.contains("\"lib-unwrap\": 1"));
         assert!(json.contains("\"nondet-iteration\": 0"));
         assert!(json.contains("\"alloc-in-hot-loop\": 0"));
@@ -453,8 +307,6 @@ mod tests {
             files: vec![],
             diagnostics: vec![],
             suppressed: 0,
-            cache_hits: 0,
-            cache_misses: 0,
         };
         assert_eq!(report.exit_code(), 0);
         assert!(report.render_human().contains("clean"));

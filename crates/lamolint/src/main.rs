@@ -2,18 +2,14 @@
 //! lamolint CLI.
 //!
 //! ```text
-//! lamolint check [--root DIR] [--json] [--no-report]
-//!                [--threads N] [--no-cache]            lint the tree
-//! lamolint rules                                       print the catalog
+//! lamolint check [--root DIR] [--json] [--no-report]   lint the tree
+//! lamolint rules                                      print the catalog
 //! ```
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage or I/O error — CI gates on
 //! them. `check` always writes `target/lamolint-report.json` under the
 //! workspace root (disable with `--no-report`) so future PRs can diff
 //! rule counts; `--json` additionally prints the same JSON to stdout.
-//! `--threads 0` (the default) uses one worker per core; the report is
-//! byte-identical at any worker count. `--no-cache` skips
-//! `target/lamolint-cache.json` for a guaranteed-cold run.
 
 use std::env;
 use std::fs;
@@ -32,8 +28,7 @@ fn main() -> ExitCode {
         }
         _ => {
             eprintln!(
-                "usage: lamolint check [--root DIR] [--json] [--no-report] \
-                 [--threads N] [--no-cache]\n\
+                "usage: lamolint check [--root DIR] [--json] [--no-report]\n\
                  \u{20}      lamolint rules"
             );
             ExitCode::from(2)
@@ -45,20 +40,11 @@ fn check(args: &[String]) -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut json = false;
     let mut write_report = true;
-    let mut opts = lamolint::RunOptions::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => json = true,
             "--no-report" => write_report = false,
-            "--no-cache" => opts.use_cache = false,
-            "--threads" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => opts.threads = n,
-                None => {
-                    eprintln!("lamolint: --threads needs a number (0 = all cores)");
-                    return ExitCode::from(2);
-                }
-            },
             "--root" => match it.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => {
@@ -97,7 +83,7 @@ fn check(args: &[String]) -> ExitCode {
         }
     };
 
-    let report = match lamolint::run_check_with(&root, opts) {
+    let report = match lamolint::run_check(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("lamolint: {e}");

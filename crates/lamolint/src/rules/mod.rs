@@ -5,8 +5,7 @@
 //! [`FileIr`] — token model, item graph, dataflow bindings, parsed
 //! suppressions — and every rule is a [`RuleSpec`] entry in [`REGISTRY`]
 //! running over that shared IR. The registry is the single source of
-//! truth for "which rules exist": `check_source` dispatch, the
-//! `profile_lint` per-rule timing columns, and the CI
+//! truth for "which rules exist": `check_source` dispatch and the CI
 //! all-rules-present guard iterate it, so a new rule cannot be wired
 //! into one surface and silently missed in another.
 

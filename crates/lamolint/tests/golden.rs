@@ -83,8 +83,6 @@ fn fixtures_match_golden_expectations() {
             files: vec![pretend],
             diagnostics: outcome.diagnostics,
             suppressed: outcome.suppressed,
-            cache_hits: 0,
-            cache_misses: 1,
         };
         if want.trim().is_empty() {
             assert_eq!(report.exit_code(), 0, "clean fixture {name} must exit 0");

@@ -445,6 +445,11 @@ impl IncrementalCensus {
             stats.inserted += plan.insertions.len();
             self.commit_root(root, plan, &mut touched);
         }
+        debug_assert_eq!(
+            self.classes.iter().map(|c| c.members.len()).sum::<usize>(),
+            self.candidate_count(),
+            "every live candidate is a member of exactly one class"
+        );
         // Exactly the classes whose occurrence stream changed — inert
         // candidates keep their class, content and relative order, so
         // publish-level cleanliness is what the label cache consumes.
@@ -815,8 +820,11 @@ impl IncrementalCensus {
         if !fits {
             // Gap exhausted: renumber the whole root. Tags are internal
             // (ordering-only), so re-tagging survivors is invisible to
-            // publish and is not reported as touched.
+            // publish and is not reported as touched. A survivor's new
+            // tag may equal a later survivor's old one, so every old tag
+            // leaves the membership trees before any new tag enters.
             seg.sseqs = gap_seqs(merged_len);
+            let mut moves: Vec<(u32, usize)> = Vec::with_capacity(surv_len);
             let mut ins_ptr = 0usize;
             let mut ri = 0usize;
             let mut oi = 0usize;
@@ -831,8 +839,11 @@ impl IncrementalCensus {
                 }
                 let cid = old.class_ids[oi];
                 self.classes[cid as usize].members.remove(&(root, old.sseqs[oi]));
-                self.classes[cid as usize].members.insert((root, seg.sseqs[pos]));
+                moves.push((cid, pos));
                 oi += 1;
+            }
+            for (cid, pos) in moves {
+                self.classes[cid as usize].members.insert((root, seg.sseqs[pos]));
             }
         }
         // Register the newcomers under their settled tags.

@@ -11,9 +11,8 @@
 //!
 //! Two walkers implement the identical traversal:
 //!
-//! * [`EsuWalker`] — the reference walker over sorted adjacency lists,
-//!   with a per-depth gate so RAND-ESU sampling shares its skeleton. It
-//!   allocates one `Vec` per candidate (the cloned remaining-extension
+//! * [`EsuWalker`] — the reference walker over sorted adjacency lists.
+//!   It allocates one `Vec` per candidate (the cloned remaining-extension
 //!   set), which makes it the *oracle*, not the hot path.
 //! * [`DenseEsuWalker`] — the dense kernel (DESIGN.md §15): extension
 //!   sets live in one flat arena (`extend_from_within`, no per-candidate
@@ -40,7 +39,7 @@ pub fn enumerate_connected_subgraphs(
     }
     let mut walker = EsuWalker::new(g, k);
     for v in 0..g.vertex_count() as u32 {
-        if !walker.enumerate_root(v, &mut |_| true, visit) {
+        if !walker.enumerate_root(v, visit) {
             return;
         }
     }
@@ -60,18 +59,11 @@ pub fn enumerate_connected_subgraphs_rooted(
     if k == 0 || k > g.vertex_count() || root as usize >= g.vertex_count() {
         return;
     }
-    EsuWalker::new(g, k).enumerate_root(root, &mut |_| true, visit);
+    EsuWalker::new(g, k).enumerate_root(root, visit);
 }
 
-/// The ESU tree walker shared by exact enumeration, rooted (sharded)
-/// enumeration and RAND-ESU sampling.
-///
-/// `gate(depth)` is consulted once for the root (depth 0) and once per
-/// candidate vertex before it is admitted at `depth` (the subgraph size
-/// it would join at); returning `false` prunes that branch. Exact
-/// enumeration gates with `|_| true`, RAND-ESU with a per-depth coin
-/// flip — the one walker keeps the two traversals structurally
-/// identical (`probability_one_reduces_to_exact_esu` pins this).
+/// The ESU tree walker shared by exact and rooted (sharded)
+/// enumeration.
 ///
 /// The walker is reusable across roots so callers iterating many roots
 /// (the parallel seed level) pay for the `blocked` scratch vector once.
@@ -104,12 +96,8 @@ impl<'a> EsuWalker<'a> {
     pub(crate) fn enumerate_root(
         &mut self,
         v: u32,
-        gate: &mut dyn FnMut(usize) -> bool,
         visit: &mut dyn FnMut(&[VertexId]) -> bool,
     ) -> bool {
-        if !gate(0) {
-            return true;
-        }
         self.root = v;
         self.subgraph.push(VertexId(v));
         self.blocked[v as usize] = true;
@@ -123,7 +111,7 @@ impl<'a> EsuWalker<'a> {
         for &u in &ext {
             self.blocked[u as usize] = true;
         }
-        let keep_going = self.extend(ext, gate, visit);
+        let keep_going = self.extend(ext, visit);
         for &u in self.g.neighbors(VertexId(v)) {
             if u > v {
                 self.blocked[u as usize] = false;
@@ -137,23 +125,14 @@ impl<'a> EsuWalker<'a> {
     /// Process one extension set. All vertices of `ext` are already
     /// blocked by the caller, which is also responsible for unblocking
     /// them after this call returns.
-    fn extend(
-        &mut self,
-        ext: Vec<u32>,
-        gate: &mut dyn FnMut(usize) -> bool,
-        visit: &mut dyn FnMut(&[VertexId]) -> bool,
-    ) -> bool {
+    fn extend(&mut self, ext: Vec<u32>, visit: &mut dyn FnMut(&[VertexId]) -> bool) -> bool {
         if self.subgraph.len() == self.k {
             return visit(&self.subgraph);
         }
-        let depth = self.subgraph.len(); // next vertex placed at this depth
         let mut remaining = ext;
         while let Some(w) = remaining.pop() {
             // w stays blocked for the rest of this level: later branches
             // must not re-admit it (it is a neighbor of V_sub).
-            if !gate(depth) {
-                continue;
-            }
             let mut new_ext = remaining.clone();
             let mut added: Vec<u32> = Vec::new();
             for &u in self.g.neighbors(VertexId(w)) {
@@ -167,7 +146,7 @@ impl<'a> EsuWalker<'a> {
                 }
             }
             self.subgraph.push(VertexId(w));
-            let keep_going = self.extend(new_ext, gate, visit);
+            let keep_going = self.extend(new_ext, visit);
             self.subgraph.pop();
             for &u in &added {
                 self.blocked[u as usize] = false;
@@ -229,8 +208,8 @@ impl<'a> DenseEsuWalker<'a> {
     }
 
     /// Enumerate the sets rooted at `v`, visiting leaves in exactly the
-    /// order [`EsuWalker::enumerate_root`] does (with an always-true
-    /// gate). Returns `false` iff `visit` aborted the enumeration.
+    /// order [`EsuWalker::enumerate_root`] does. Returns `false` iff
+    /// `visit` aborted the enumeration.
     pub fn enumerate_root(
         &mut self,
         v: u32,
@@ -488,7 +467,7 @@ mod tests {
     /// order (vertices in discovery order, untruncated).
     fn reference_sequence(g: &Graph, k: usize, root: u32) -> Vec<Vec<VertexId>> {
         let mut seq = Vec::new();
-        EsuWalker::new(g, k).enumerate_root(root, &mut |_| true, &mut |s| {
+        EsuWalker::new(g, k).enumerate_root(root, &mut |s| {
             seq.push(s.to_vec());
             true
         });

@@ -2,7 +2,6 @@
 //! Network-motif discovery substrate (Tasks 1 and 2 of the paper).
 //!
 //! * [`esu`] — exact ESU/FANMOD enumeration of connected subgraphs;
-//! * [`sampling`] — RAND-ESU probabilistic sampling and count estimation;
 //! * [`classes`] — grouping occurrences into isomorphism classes;
 //! * [`nemo`] — NeMoFinder-style level-wise frequent-subgraph growth up
 //!   to meso-scale sizes;
@@ -21,7 +20,6 @@ pub mod esu;
 pub mod finder;
 pub mod motif;
 pub mod nemo;
-pub mod sampling;
 pub mod subgraph_match;
 pub mod uniqueness;
 

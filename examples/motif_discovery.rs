@@ -1,5 +1,5 @@
-//! Network motif discovery in depth: exact enumeration, sampling
-//! estimates, frequent-subgraph growth and uniqueness testing on a
+//! Network motif discovery in depth: exact enumeration, isomorphism
+//! classes, frequent-subgraph growth and uniqueness testing on a
 //! synthetic interactome.
 //!
 //! ```bash
@@ -30,16 +30,6 @@ fn main() {
     for k in 3..=5 {
         println!("  size {k}: {} sets", count_connected_subgraphs(g, k));
     }
-
-    // RAND-ESU estimate vs exact (the FANMOD trick for larger sizes).
-    let mut rng = SmallRng::seed_from_u64(7);
-    let probs = motif_finder::sampling::uniform_depth_probs(4, 0.2);
-    let estimate = motif_finder::sampling::estimate_subgraph_count(g, 4, &probs, &mut rng);
-    println!(
-        "\nRAND-ESU size-4 estimate at 20% inclusion: {:.0} (exact {})",
-        estimate,
-        count_connected_subgraphs(g, 4)
-    );
 
     // Isomorphism classes at size 3 and 4.
     println!("\nisomorphism classes:");
