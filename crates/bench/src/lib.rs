@@ -1,7 +1,8 @@
 #![forbid(unsafe_code)]
-//! Shared harness for the per-table / per-figure benchmark binaries and
-//! the per-layer profiles. See DESIGN.md §7 for the experiment index and
-//! EXPERIMENTS.md for recorded paper-vs-measured results.
+//! Shared harness for the per-table / per-figure benchmark binaries,
+//! perfbench and the release tripwires. See DESIGN.md §7 for the
+//! experiment index and EXPERIMENTS.md for recorded paper-vs-measured
+//! results.
 
 pub mod report;
 
@@ -152,8 +153,8 @@ pub fn mips_functions(data: &MipsDataset) -> CategoryView {
 }
 
 /// Top `n` terms by direct annotation count (ties broken by ascending
-/// term id): the YeastDataset has no curated category list, so the
-/// serving profilers derive the paper's 13-category space
+/// term id): the YeastDataset has no curated category list, so
+/// perfbench and the tripwires derive the paper's 13-category space
 /// deterministically from the data.
 pub fn top_categories(annotations: &go_ontology::Annotations, n: usize) -> Vec<TermId> {
     let mut by_count: Vec<(usize, u32)> = (0..annotations.term_count())

@@ -88,91 +88,6 @@ pub fn check(matches: bool) -> &'static str {
     }
 }
 
-/// Minimal JSON object builder for the `BENCH_*.json` artifacts the
-/// profile binaries emit (the build is offline, so no serde: the few
-/// value shapes needed — strings, numbers, nested objects/arrays — are
-/// rendered by hand).
-#[derive(Default)]
-pub struct JsonObject {
-    fields: Vec<(String, String)>,
-}
-
-impl JsonObject {
-    /// Empty object.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a string field (escaped).
-    pub fn str(mut self, key: &str, value: &str) -> Self {
-        self.fields.push((key.to_string(), json_string(value)));
-        self
-    }
-
-    /// Add an integer field.
-    pub fn int(mut self, key: &str, value: usize) -> Self {
-        self.fields.push((key.to_string(), value.to_string()));
-        self
-    }
-
-    /// Add a float field (finite values; non-finite render as null).
-    pub fn num(mut self, key: &str, value: f64) -> Self {
-        let rendered = if value.is_finite() {
-            format!("{value}")
-        } else {
-            "null".to_string()
-        };
-        self.fields.push((key.to_string(), rendered));
-        self
-    }
-
-    /// Add a boolean field.
-    pub fn bool(mut self, key: &str, value: bool) -> Self {
-        self.fields.push((key.to_string(), value.to_string()));
-        self
-    }
-
-    /// Add a pre-rendered JSON value (nested object or array).
-    pub fn raw(mut self, key: &str, rendered: String) -> Self {
-        self.fields.push((key.to_string(), rendered));
-        self
-    }
-
-    /// Render as a JSON object.
-    pub fn render(&self) -> String {
-        let fields: Vec<String> = self
-            .fields
-            .iter()
-            .map(|(k, v)| format!("{}: {v}", json_string(k)))
-            .collect();
-        format!("{{{}}}", fields.join(", "))
-    }
-}
-
-/// Render a JSON array from pre-rendered element values.
-pub fn json_array(items: &[String]) -> String {
-    format!("[{}]", items.join(", "))
-}
-
-/// Render a JSON string literal with escaping.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,21 +116,5 @@ mod tests {
     #[should_panic(expected = "row width")]
     fn ragged_rows_panic() {
         print_table(&["a", "b"], &[vec!["1".into()]]);
-    }
-
-    #[test]
-    fn json_rendering() {
-        let inner = JsonObject::new().int("threads", 4).num("secs", 1.5).render();
-        let doc = JsonObject::new()
-            .str("name", "disco\"very\n")
-            .int("vertices", 4141)
-            .num("nan", f64::NAN)
-            .raw("sweep", json_array(std::slice::from_ref(&inner)))
-            .render();
-        assert_eq!(
-            doc,
-            "{\"name\": \"disco\\\"very\\n\", \"vertices\": 4141, \
-             \"nan\": null, \"sweep\": [{\"threads\": 4, \"secs\": 1.5}]}"
-        );
     }
 }

@@ -14,22 +14,6 @@ use motif_finder::{DirectedMotif, Motif, Occurrence};
 use par_util::{faultpoint, run_supervised, strided, Interrupted, RunContext, WorkerPanic};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Which similarity implementation drives the labeling hot path.
-///
-/// Both produce byte-identical output (the dense kernels replay the
-/// oracle's floating-point operations in the same order); the choice
-/// only trades plane-build time and memory against per-pair hashing.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SimilarityKernel {
-    /// Precompute dense ST/SV planes once per namespace and read them
-    /// with flat index arithmetic (default).
-    #[default]
-    Dense,
-    /// Lock-and-hash memoization on first use, the original
-    /// [`TermSimilarity`] path. Kept as the reference oracle.
-    Memoized,
-}
-
 /// LaMoFinder configuration.
 #[derive(Clone, Debug)]
 pub struct LaMoFinderConfig {
@@ -49,9 +33,6 @@ pub struct LaMoFinderConfig {
     /// rows inside the clustering instead. Output is byte-identical for
     /// any thread count.
     pub threads: usize,
-    /// Similarity implementation for the SO hot path (default: dense
-    /// precomputed planes). Output is identical either way.
-    pub kernel: SimilarityKernel,
 }
 
 impl Default for LaMoFinderConfig {
@@ -62,7 +43,6 @@ impl Default for LaMoFinderConfig {
             clustering: ClusteringConfig::default(),
             max_occurrences: 200,
             threads: 0,
-            kernel: SimilarityKernel::default(),
         }
     }
 }
@@ -154,20 +134,15 @@ impl<'a> LaMoFinder<'a> {
         *self.last_kernel_stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Dense ST/SV kernels when the config selects them, built on first
-    /// use and cached for the finder's lifetime (the bundle depends only
-    /// on finder-fixed inputs, so a cache hit is byte-for-byte the same
-    /// plane a rebuild would produce). `Ok(None)` means the run context
-    /// tripped mid-build (or the config selects the memoized oracle,
-    /// where `None` is the non-cancelled answer — callers distinguish
-    /// via `run.should_stop()`); cancelled builds are not cached.
+    /// Dense ST/SV kernels, built on first use and cached for the
+    /// finder's lifetime (the bundle depends only on finder-fixed
+    /// inputs, so a cache hit is byte-for-byte the same plane a rebuild
+    /// would produce). `Ok(None)` means the run context tripped
+    /// mid-build; cancelled builds are not cached.
     fn build_dense(
         &self,
         run: &RunContext,
     ) -> Result<Option<Arc<DenseSimPlanes>>, WorkerPanic> {
-        if self.config.kernel != SimilarityKernel::Dense {
-            return Ok(None);
-        }
         if let Some(planes) = self
             .dense_cache
             .lock()
@@ -193,11 +168,8 @@ impl<'a> LaMoFinder<'a> {
     }
 
     /// Fold this run's kernel diagnostics into `last_kernel_stats`.
-    fn record_kernel_stats(&self, dense: Option<&DenseSimPlanes>, sim: &TermSimilarity<'_>) {
-        let mut stats = sim.kernel_stats();
-        if let Some(planes) = dense {
-            stats = stats.merged(&planes.stats());
-        }
+    fn record_kernel_stats(&self, dense: &DenseSimPlanes, sim: &TermSimilarity<'_>) {
+        let stats = sim.kernel_stats().merged(&dense.stats());
         *self.last_kernel_stats.lock().unwrap_or_else(PoisonError::into_inner) = stats;
     }
 
@@ -296,7 +268,8 @@ impl<'a> LaMoFinder<'a> {
         // mid-build surfaces as a cancellation carrying the incoming
         // checkpoint, and caches nothing.
         let dense = match self.build_dense(run) {
-            Ok(planes) => planes,
+            Ok(Some(planes)) => planes,
+            Ok(None) => return Err(Interrupted::Cancelled { checkpoint: done }),
             Err(panic) => {
                 return Err(Interrupted::WorkerPanicked {
                     panic,
@@ -304,16 +277,13 @@ impl<'a> LaMoFinder<'a> {
                 });
             }
         };
-        if self.config.kernel == SimilarityKernel::Dense && dense.is_none() {
-            return Err(Interrupted::Cancelled { checkpoint: done });
-        }
         let ctx = LabelContext {
             ontology: self.ontology,
             sim: &sim,
             informative: &self.informative,
             terms_by_protein: &self.terms_by_protein,
             frontier: &self.frontier,
-            dense: dense.as_deref(),
+            dense: Some(&dense),
         };
         // The plan is derived from the *full* motif count, so a resumed
         // run splits the thread budget exactly as the original did.
@@ -359,7 +329,7 @@ impl<'a> LaMoFinder<'a> {
         });
         done.extend(completed.into_inner().unwrap_or_else(PoisonError::into_inner));
         done.sort_by_key(|&(mi, _)| mi);
-        self.record_kernel_stats(dense.as_deref(), &sim);
+        self.record_kernel_stats(&dense, &sim);
         let nested = nested.into_inner().unwrap_or_else(PoisonError::into_inner);
         if let Some(panic) = nested.or(outcome.panic) {
             return Err(Interrupted::WorkerPanicked {

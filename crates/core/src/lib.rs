@@ -48,6 +48,6 @@ pub use dictionary::{parse_dictionary, write_dictionary, DictionaryError};
 pub use flat::{namespace_from_tag, FlatMotifs};
 pub use labeled::{LabeledDirectedMotif, LabeledMotif};
 pub use labeling::{LabelingScheme, VertexLabel};
-pub use lamofinder::{LaMoFinder, LaMoFinderConfig, LabelCheckpoint, SimilarityKernel};
+pub use lamofinder::{LaMoFinder, LaMoFinderConfig, LabelCheckpoint};
 pub use naive::{naive_label, NaiveOutcome};
 pub use occ_similarity::{OccurrenceScorer, SoScratch};

@@ -1,15 +1,16 @@
-//! Property-based byte-identity tests for the dense labeling path:
-//! running the full pipeline with [`SimilarityKernel::Dense`] must equal
-//! the memoized-oracle run bit for bit — the SO matrix entry-wise at
-//! thread counts {1, 2, 4}, and the end-to-end labeled output.
+//! Property-based byte-identity tests for the dense labeling path: the
+//! precomputed ST/SV planes must equal the memoized [`TermSimilarity`]
+//! oracle bit for bit — the SO matrix entry-wise at thread counts
+//! {1, 2, 4}, and the end-to-end labeled output of [`LaMoFinder`]
+//! against a clustering run over a [`LabelContext`] with no planes.
 
 use go_ontology::{
     Annotations, DenseSimPlanes, InformativeConfig, Namespace, Ontology, OntologyBuilder,
     ProteinId, Relation, TermId, TermSimilarity, TermWeights,
 };
 use lamofinder::{
-    so_matrix, ClusteringConfig, LaMoFinder, LaMoFinderConfig, MotifSymmetry, OccurrenceScorer,
-    SimilarityKernel,
+    cluster_occurrences, compute_frontier, so_matrix, ClusteringConfig, LaMoFinder,
+    LaMoFinderConfig, LabelContext, MotifSymmetry, OccurrenceScorer,
 };
 use motif_finder::{Motif, Occurrence};
 use par_util::RunContext;
@@ -139,30 +140,50 @@ proptest! {
             frequency: occs.len(),
             uniqueness: None,
         }];
-        let label = |kernel: SimilarityKernel, threads: usize| {
-            let finder = LaMoFinder::new(&ontology, &ann, LaMoFinderConfig {
+        let clustering = ClusteringConfig {
+            sigma: 2,
+            ..Default::default()
+        };
+        let finder = |threads: usize| {
+            LaMoFinder::new(&ontology, &ann, LaMoFinderConfig {
                 informative: InformativeConfig {
                     min_direct: 1,
                     ..Default::default()
                 },
-                clustering: ClusteringConfig {
-                    sigma: 2,
-                    ..Default::default()
-                },
+                clustering: clustering.clone(),
                 threads,
-                kernel,
                 ..Default::default()
-            });
-            finder.label_motifs(&motifs)
+            })
         };
-        let memoized = label(SimilarityKernel::Memoized, 1);
+        // The oracle: the same clustering over a context without dense
+        // planes, so every ST/SV value comes from `TermSimilarity`.
+        let oracle = finder(1);
+        let sim = TermSimilarity::new(&ontology, oracle.weights());
+        let frontier = compute_frontier(&ontology, oracle.informative());
+        let ctx = LabelContext {
+            ontology: &ontology,
+            sim: &sim,
+            informative: oracle.informative(),
+            terms_by_protein: oracle.terms_by_protein(),
+            frontier: &frontier,
+            dense: None,
+        };
+        let memoized = cluster_occurrences(
+            &motifs[0].pattern,
+            &occs,
+            &ctx,
+            &ClusteringConfig {
+                threads: 1,
+                ..clustering.clone()
+            },
+        );
         for threads in [1usize, 2, 4] {
-            let dense = label(SimilarityKernel::Dense, threads);
+            let dense = finder(threads).label_motifs(&motifs);
             prop_assert_eq!(memoized.len(), dense.len());
             for (a, b) in memoized.iter().zip(&dense) {
                 prop_assert_eq!(&a.scheme, &b.scheme);
                 prop_assert_eq!(&a.occurrences, &b.occurrences);
-                prop_assert_eq!(a.motif_frequency, b.motif_frequency);
+                prop_assert_eq!(b.motif_frequency, occs.len());
             }
         }
     }

@@ -20,8 +20,8 @@
 //!   is immutable and `Sync`;
 //! * the query path touches **no wall clock** — batching is a pure
 //!   function of arrival order, and load limits are `RunContext` work
-//!   ticks, with only the `profile_serve` bench bin exempted to
-//!   measure latency.
+//!   ticks; latency is measured outside this crate, by perfbench and
+//!   the `crates/bench` tripwires.
 
 pub mod artifact;
 pub mod delta;

@@ -19,6 +19,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use function_prediction::{PredictScratch, PredictionContext};
@@ -110,7 +111,6 @@ fn seeded_chaos_storms_never_drop_an_answer() {
                 Arc::clone(&a1),
                 ServeConfig {
                     workers,
-                    max_batch: 3,
                     ..ServeConfig::default()
                 },
                 Arc::new(RunContext::metered().with_faults(plan)),
@@ -179,7 +179,6 @@ fn predict_panic_storm_degrades_each_crash_to_a_typed_answer() {
             Arc::clone(&a),
             ServeConfig {
                 workers,
-                max_batch: 2,
                 ..ServeConfig::default()
             },
             Arc::new(RunContext::unbounded().with_faults(plan)),
@@ -212,35 +211,38 @@ fn predict_panic_storm_degrades_each_crash_to_a_typed_answer() {
 
 /// Multi-threaded submitters hammer a depth-1 queue under `Shed`:
 /// client-observed refusals and acceptances must tally exactly with the
-/// server's counters, and every accepted request resolves.
+/// server's counters, and every accepted request resolves. The run is
+/// metered, and every tick it spent is an answered query's postings:
+/// a shed costs O(1) and walks no postings.
 #[test]
 fn saturation_storm_sheds_typed_and_loses_nothing() {
     const SUBMITTERS: usize = 4;
     const PER_THREAD: usize = 200;
     let a = artifact(0);
+    let ctx = Arc::new(RunContext::metered());
     let server = Server::start(
         Arc::clone(&a),
         ServeConfig {
             workers: 1,
-            max_batch: 1,
             queue_depth: 1,
             admission: AdmissionPolicy::Shed,
         },
-        Arc::new(RunContext::unbounded()),
+        Arc::clone(&ctx),
     );
-    let (ok, shed) = std::thread::scope(|scope| {
+    let (ok, shed, postings) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..SUBMITTERS)
             .map(|c| {
                 let server = &server;
                 let a = &a;
                 scope.spawn(move || {
-                    let (mut ok, mut shed) = (0u64, 0u64);
+                    let (mut ok, mut shed, mut postings) = (0u64, 0u64, 0u64);
                     for i in 0..PER_THREAD {
                         match server.submit((c + i) % PROTEINS) {
                             Ok(handle) => {
                                 let got = handle.wait().expect("accepted request is served");
                                 assert_oracle_exact(&got, &[a.as_ref()]);
                                 ok += 1;
+                                postings += got.postings as u64;
                             }
                             Err(ServeError::Overloaded { depth }) => {
                                 assert_eq!(depth, 1, "shed reports the configured depth");
@@ -249,21 +251,31 @@ fn saturation_storm_sheds_typed_and_loses_nothing() {
                             Err(other) => panic!("unexpected refusal: {other}"),
                         }
                     }
-                    (ok, shed)
+                    (ok, shed, postings)
                 })
             })
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("submitter thread must not panic"))
-            .fold((0u64, 0u64), |(a, b), (c, d)| (a + c, b + d))
+            .fold((0u64, 0u64, 0u64), |(a, b, c), (d, e, f)| {
+                (a + d, b + e, c + f)
+            })
     });
     assert_eq!(ok + shed, (SUBMITTERS * PER_THREAD) as u64);
     let stats = server.stats();
     assert_eq!(stats.accepted, ok);
     assert_eq!(stats.shed, shed);
     assert_eq!(stats.answered, ok);
+    // A worker charges its ticks after delivering the answer; shutdown
+    // joins the workers, so every charge has landed.
     server.shutdown();
+    assert!(postings > 0, "answered queries walk postings");
+    assert_eq!(
+        ctx.ticks_spent(),
+        postings,
+        "shed requests must consume zero postings (O(1) shed)"
+    );
 }
 
 /// The same storm under `Block`: nothing is shed — submitters park on
@@ -278,7 +290,6 @@ fn saturation_storm_under_block_parks_instead_of_shedding() {
         Arc::clone(&a),
         ServeConfig {
             workers: 2,
-            max_batch: 1,
             queue_depth: 1,
             admission: AdmissionPolicy::Block,
         },
@@ -326,7 +337,6 @@ fn crashed_swap_leaves_the_old_epoch_serving() {
         Arc::clone(&a1),
         ServeConfig {
             workers: 2,
-            max_batch: 2,
             ..ServeConfig::default()
         },
         Arc::new(RunContext::unbounded().with_faults(plan)),
@@ -346,6 +356,55 @@ fn crashed_swap_leaves_the_old_epoch_serving() {
     assert_eq!(got.epoch, 1);
     assert_oracle_exact(&got, &[&a1, &a2]);
     assert_eq!(server.stats().swaps, 1, "only the successful swap counts");
+    server.shutdown();
+}
+
+/// Hot swaps while clients query: every swap advances the epoch
+/// exactly once, and no query in flight across a swap fails.
+#[test]
+fn swaps_under_load_advance_the_epoch_once_each() {
+    const SWAPS: u64 = 200;
+    let epochs = [artifact(0), artifact(1)];
+    // Epoch `e` serves `epochs[e % 2]`.
+    let by_epoch: Vec<&ModelArtifact> = (0..=SWAPS as usize)
+        .map(|e| epochs[e % 2].as_ref())
+        .collect();
+    let server = Server::start(
+        Arc::clone(&epochs[0]),
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+        Arc::new(RunContext::unbounded()),
+    );
+    let stop = AtomicBool::new(false);
+    let served = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        let (server, stop, served, by_epoch) = (&server, &stop, &served, &by_epoch);
+        let client = scope.spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                let p = served.load(Ordering::Relaxed) as usize % PROTEINS;
+                let got = server
+                    .query(p)
+                    .expect("a query under swap load is answered");
+                assert_oracle_exact(&got, by_epoch);
+                served.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        // Swap only once the client is querying (or has failed).
+        while served.load(Ordering::Relaxed) == 0 && !client.is_finished() {
+            std::thread::yield_now();
+        }
+        for swap in 1..=SWAPS {
+            let next = Arc::clone(&epochs[swap as usize % 2]);
+            assert_eq!(server.swap_artifact(next), Ok(swap));
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    assert_eq!(server.epoch(), SWAPS, "each swap bumps the epoch once");
+    let stats = server.stats();
+    assert_eq!(stats.swaps, SWAPS);
+    assert_eq!(stats.answered, served.into_inner());
     server.shutdown();
 }
 
@@ -413,7 +472,6 @@ fn recovered_artifact_swaps_into_a_live_server() {
         Arc::clone(&recovered),
         ServeConfig {
             workers: 2,
-            max_batch: 2,
             ..ServeConfig::default()
         },
         Arc::new(RunContext::unbounded()),

@@ -38,7 +38,7 @@ use synthetic_data::{GoGenConfig, MipsConfig, MipsDataset};
 
 fn config() -> TrainerConfig {
     TrainerConfig {
-        sizes: vec![3],
+        sizes: vec![3, 4],
         frequency_threshold: 2,
         max_stored: 2_000,
         max_classes: 300,
@@ -175,7 +175,7 @@ proptest! {
             let report = trainer
                 .apply_delta(&delta, &RunContext::unbounded())
                 .expect("generated deltas are valid");
-            prop_assert_eq!(report.census.len(), 1);
+            prop_assert_eq!(report.census.len(), config().sizes.len());
         }
         let post = trainer.graph().clone();
         let scratch = mips_trainer(&post, t_scratch);

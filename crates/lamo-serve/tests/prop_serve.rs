@@ -130,7 +130,7 @@ proptest! {
             let ctx = Arc::new(RunContext::metered());
             let server = Server::start(
                 Arc::clone(&artifact),
-                ServeConfig { workers, max_batch: 3, ..ServeConfig::default() },
+                ServeConfig { workers, ..ServeConfig::default() },
                 Arc::clone(&ctx),
             );
             prop_assert_eq!(ctx.ticks_spent(), 0);
@@ -229,7 +229,7 @@ proptest! {
         for workers in [1usize, 2, 4] {
             let server = Server::start(
                 Arc::clone(&a1),
-                ServeConfig { workers, max_batch: 3, ..ServeConfig::default() },
+                ServeConfig { workers, ..ServeConfig::default() },
                 Arc::new(RunContext::unbounded()),
             );
             let mut pending: Vec<(usize, PendingQuery)> = Vec::new();
@@ -271,7 +271,7 @@ proptest! {
         for workers in [1usize, 2, 4] {
             let server = Server::start(
                 Arc::clone(&artifact),
-                ServeConfig { workers, max_batch: 2, ..ServeConfig::default() },
+                ServeConfig { workers, ..ServeConfig::default() },
                 Arc::new(RunContext::unbounded()),
             );
             let pending: Vec<(usize, PendingQuery)> = (0..3 * w.n)

@@ -41,8 +41,8 @@ pub struct FileScope {
     /// everywhere — outside this scope any site is a finding.
     pub faultpoints: bool,
     /// `serve-read-lock` applies: `crates/lamo-serve/src/**` minus bin
-    /// targets (the serving read path is lock-free by contract;
-    /// `profile_serve` is a CLI-boundary bench bin).
+    /// targets (the serving read path is lock-free by contract; a bin
+    /// sits at the CLI boundary, outside it).
     pub serve_lock_free: bool,
 }
 
@@ -312,7 +312,7 @@ mod tests {
         let bench = FileScope::classify("crates/bench/src/lib.rs").expect("lintable");
         assert!(!bench.wall_clock && !bench.lib_unwrap && !bench.faultpoints);
 
-        let bin = FileScope::classify("crates/bench/src/bin/profile_find.rs").expect("lintable");
+        let bin = FileScope::classify("crates/bench/src/bin/scalability.rs").expect("lintable");
         assert!(!bin.lib_unwrap && !bin.faultpoints);
 
         let test = FileScope::classify("crates/core/tests/prop_labeling.rs").expect("lintable");
@@ -321,11 +321,10 @@ mod tests {
 
         let serve = FileScope::classify("crates/lamo-serve/src/server.rs").expect("lintable");
         assert!(serve.serve_lock_free && serve.wall_clock && serve.lib_unwrap);
-        let serve_bin =
-            FileScope::classify("crates/lamo-serve/src/bin/profile_serve.rs").expect("lintable");
+        let serve_bin = FileScope::classify("crates/lamo-serve/src/bin/serve.rs").expect("lintable");
         assert!(
             !serve_bin.serve_lock_free,
-            "the bench bin sits at the CLI boundary, outside the read path"
+            "a bin sits at the CLI boundary, outside the read path"
         );
         let serve_test =
             FileScope::classify("crates/lamo-serve/tests/prop_serve.rs").expect("lintable");

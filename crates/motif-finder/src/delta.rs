@@ -313,10 +313,6 @@ pub struct IncrementalCensus {
     code_buckets: HashMap<u64, u32>,
     classes: Vec<ClassInfo>,
     roots: Vec<RootSegment>,
-    /// Recycled splice buffer: [`Self::commit_root`] merges into this
-    /// and swaps it with the root's old segment, so steady-state
-    /// commits allocate nothing.
-    splice_buf: RootSegment,
 }
 
 impl IncrementalCensus {
@@ -340,7 +336,6 @@ impl IncrementalCensus {
             code_buckets: HashMap::new(),
             classes: Vec::new(),
             roots: Vec::new(),
-            splice_buf: RootSegment::default(),
         };
         let all: Vec<u32> = (0..g.vertex_count() as u32).collect();
         let segments = census.walk_roots(&all, ctx).ok_or(DeltaError::Cancelled)?;
@@ -739,13 +734,13 @@ impl IncrementalCensus {
         }
         let surv_len = old.len() - removals.len();
         let merged_len = surv_len + insertions.len();
-        let mut seg = std::mem::take(&mut self.splice_buf);
-        seg.class_ids.clear();
-        seg.class_ids.reserve(merged_len);
-        seg.verts.clear();
-        seg.verts.reserve(merged_len * k);
-        seg.sseqs.clear();
-        seg.sseqs.reserve(merged_len);
+        // Sized to this root alone: a hub's capacity never passes on to
+        // the next, smaller root.
+        let mut seg = RootSegment {
+            class_ids: Vec::with_capacity(merged_len),
+            verts: Vec::with_capacity(merged_len * k),
+            sseqs: Vec::with_capacity(merged_len),
+        };
         // Merged position of each insertion (in `insertions` order),
         // for member registration after the tags settle.
         let mut ins_at: Vec<usize> = Vec::with_capacity(insertions.len());
@@ -854,8 +849,6 @@ impl IncrementalCensus {
             touched.insert(ins.cid);
         }
         self.roots[root as usize] = seg;
-        // Recycle the old segment's buffers for the next root.
-        self.splice_buf = old;
     }
 
     /// Connected `k`-sets of the current graph containing both `u` and
@@ -1248,6 +1241,31 @@ mod tests {
         post.remove_edge(VertexId(3), VertexId(9));
         let oracle = grow_frequent_subgraphs(&post, &config(4, 1, 4, usize::MAX));
         assert_classes_identical(&census.publish(1, usize::MAX).0, &oracle.classes);
+    }
+
+    #[test]
+    fn a_hub_commit_leaves_no_capacity_to_later_roots() {
+        // Root 0 is a 30-leaf star hub (435 paths at k = 3); 31-32-33-34
+        // is a path and 35 is isolated, so root 33 starts empty.
+        let mut edges: Vec<(u32, u32)> = (1..=30).map(|leaf| (0, leaf)).collect();
+        edges.extend_from_slice(&[(31, 32), (32, 33), (33, 34)]);
+        let g = Graph::from_edges(36, &edges);
+        let ctx = RunContext::unbounded();
+        let mut census = IncrementalCensus::new(&g, 3, usize::MAX, &ctx).unwrap();
+        // Commit the hub root (29 retractions), then the small root 33
+        // (one insertion, {33, 34, 35}).
+        census.apply(&EdgeDelta::new(&[], &[(0, 30)]), &ctx).unwrap();
+        census.apply(&EdgeDelta::new(&[(34, 35)], &[]), &ctx).unwrap();
+        assert_eq!(census.roots[0].len(), 406);
+        assert_eq!(census.roots[33].len(), 1);
+        // Four is the smallest allocation a push makes.
+        let bound = |len: usize| (2 * len).max(4);
+        for (r, seg) in census.roots.iter().enumerate() {
+            let n = seg.len();
+            assert!(seg.class_ids.capacity() <= bound(n), "root {r} class_ids");
+            assert!(seg.sseqs.capacity() <= bound(n), "root {r} sseqs");
+            assert!(seg.verts.capacity() <= bound(3 * n), "root {r} verts");
+        }
     }
 
     #[test]

@@ -98,7 +98,6 @@ fn main() {
         Arc::new(loaded),
         ServeConfig {
             workers: 4,
-            max_batch: 16,
             ..ServeConfig::default()
         },
         Arc::new(RunContext::unbounded()),

@@ -8,8 +8,8 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q --workspace --no-fail-fast
 # The workspace pass above runs the serving robustness suites (chaos,
-# store, prop_serve) in debug; this keeps them and the profiling bins
-# compiling in release even if workspace default-members ever narrow.
+# store, prop_serve) in debug; this keeps them and the table/figure
+# bins compiling in release even if workspace default-members ever narrow.
 cargo test --release -p lamo-serve --no-run
 cargo build --release -p lamofinder-bench --bins
 cargo run -p lamolint --release -- check
