@@ -18,6 +18,11 @@
 //! byte-identity guarantee. Dirty motifs are relabeled in one batch
 //! call (one SV-plane build, full thread fan-out) and the outputs are
 //! spliced back in dictionary order.
+//!
+//! That verdict is the only one the incremental pipeline makes: beside
+//! its output the cache returns, for every reused labeled motif, its
+//! index in the previous round's output, and the posting index reuses
+//! exactly those segments (`function_prediction::SegmentedIndex`).
 
 use crate::labeled::LabeledMotif;
 use crate::lamofinder::LaMoFinder;
@@ -33,6 +38,9 @@ struct CacheEntry {
     occurrences: Vec<Occurrence>,
     /// The motif's labeled output (pass-through fields as labeled).
     labeled: Vec<LabeledMotif>,
+    /// Where the last splice put this entry's first labeled motif in
+    /// its output; `None` until a splice places it.
+    start: Option<usize>,
 }
 
 /// What one [`LabelCache::label`] round did.
@@ -61,7 +69,10 @@ impl LabelCache {
     /// Label `motifs` (the full dictionary, in order, with `keys[i]`
     /// the stable identity of `motifs[i]`), reusing cached clusterings
     /// for every motif whose stored occurrence list is unchanged.
-    /// Returns exactly what `labeler.label_motifs(motifs)` returns.
+    /// Returns exactly what `labeler.label_motifs(motifs)` returns and,
+    /// beside it, the reuse map: for each output entry, its index in the
+    /// previous round's output if the entry was reused, `None` if its
+    /// motif was relabeled.
     ///
     /// The cache is pruned to the current key set afterwards, so
     /// vanished classes do not accumulate. Callers must keep the
@@ -72,9 +83,8 @@ impl LabelCache {
         labeler: &LaMoFinder<'_>,
         keys: &[MotifKey],
         motifs: &[Motif],
-    ) -> (Vec<LabeledMotif>, LabelCacheStats) {
+    ) -> (Vec<LabeledMotif>, Vec<Option<usize>>, LabelCacheStats) {
         assert_eq!(keys.len(), motifs.len());
-        let mut stats = LabelCacheStats::default();
         let dirty: Vec<usize> = (0..motifs.len())
             .filter(|&i| {
                 self.entries
@@ -107,25 +117,34 @@ impl LabelCache {
             per_motif[di].push(lm);
         }
         for (slot, &i) in dirty.iter().enumerate() {
-            stats.relabeled += 1;
             self.entries.insert(
                 keys[i],
                 CacheEntry {
                     occurrences: motifs[i].occurrences.clone(),
                     labeled: std::mem::take(&mut per_motif[slot]),
+                    start: None,
                 },
             );
         }
 
         // Splice: every motif reads its (possibly just refreshed)
         // entry, with the pass-through fields patched to the *current*
-        // frequency and uniqueness.
+        // frequency and uniqueness. A reused entry's block maps 1:1 onto
+        // where the previous splice put it.
+        let stats = LabelCacheStats {
+            reused: motifs.len() - dirty.len(),
+            relabeled: dirty.len(),
+        };
         let mut out = Vec::new();
+        let mut reused_from = Vec::new();
         for (i, motif) in motifs.iter().enumerate() {
-            let entry = &self.entries[&keys[i]];
-            if !dirty.contains(&i) {
-                stats.reused += 1;
+            let entry = self.entries.get_mut(&keys[i]).expect("every key is cached by now");
+            let len = entry.labeled.len();
+            match entry.start {
+                Some(prev) => reused_from.extend((prev..prev + len).map(Some)),
+                None => reused_from.resize(reused_from.len() + len, None),
             }
+            entry.start = Some(out.len());
             out.extend(entry.labeled.iter().map(|lm| {
                 let mut lm = lm.clone();
                 lm.motif_frequency = motif.frequency;
@@ -134,7 +153,7 @@ impl LabelCache {
             }));
         }
         self.entries.retain(|k, _| keys.contains(k));
-        (out, stats)
+        (out, reused_from, stats)
     }
 }
 
@@ -211,7 +230,7 @@ mod tests {
         let lab = labeler(&ontology, &ann);
         let keys = vec![(3u8, 7u64)];
         let mut cache = LabelCache::new();
-        let (out1, s1) = cache.label(&lab, &keys, &motifs);
+        let (out1, _, s1) = cache.label(&lab, &keys, &motifs);
         assert_eq!(s1.relabeled, 1);
         let direct = lab.label_motifs(&motifs);
         assert_eq!(out1.len(), direct.len());
@@ -221,7 +240,7 @@ mod tests {
             assert_eq!(a.motif_frequency, b.motif_frequency);
         }
         // Second round, unchanged: pure reuse, same bytes.
-        let (out2, s2) = cache.label(&lab, &keys, &motifs);
+        let (out2, _, s2) = cache.label(&lab, &keys, &motifs);
         assert_eq!(s2.reused, 1);
         assert_eq!(s2.relabeled, 0);
         assert_eq!(out2.len(), out1.len());
@@ -237,13 +256,28 @@ mod tests {
         let lab = labeler(&ontology, &ann);
         let keys = vec![(3u8, 7u64)];
         let mut cache = LabelCache::new();
-        cache.label(&lab, &keys, &motifs);
-        // Frequency grows beyond the storage cap: window unchanged.
+        // First round: a path class over the same window sits ahead of
+        // the triangle, so the triangle's block starts past the path's.
+        let mut path = motifs[0].clone();
+        path.pattern = Graph::from_edges(3, &[(0, 1), (1, 2)]);
+        let (first, first_from, _) =
+            cache.label(&lab, &[(3, 1), keys[0]], &[path, motifs[0].clone()]);
+        assert!(first_from.iter().all(Option::is_none), "nothing to reuse yet");
+        let tri_start = first.iter().position(|lm| lm.pattern == motifs[0].pattern).unwrap();
+        assert!(tri_start > 0, "the path class emits labels");
+        // The path class vanishes; the triangle's frequency grows beyond
+        // the storage cap: window unchanged.
         motifs[0].frequency = 99;
         motifs[0].uniqueness = Some(0.5);
-        let (out, stats) = cache.label(&lab, &keys, &motifs);
+        let (out, reused_from, stats) = cache.label(&lab, &keys, &motifs);
         assert_eq!(stats.reused, 1);
         assert_eq!(stats.relabeled, 0);
+        // Every reused entry maps onto its previous output index.
+        let want: Vec<Option<usize>> = (tri_start..first.len()).map(Some).collect();
+        assert_eq!(reused_from, want);
+        for (lm, from) in out.iter().zip(&reused_from) {
+            assert_eq!(lm.scheme, first[from.unwrap()].scheme);
+        }
         assert!(out.iter().all(|lm| lm.motif_frequency == 99));
         assert!(out.iter().all(|lm| lm.uniqueness == Some(0.5)));
         // And it still matches direct labeling of the patched motif.
@@ -264,8 +298,10 @@ mod tests {
         cache.label(&lab, &[(3, 7)], &motifs);
         // Shrink the stored window: the entry must be refused.
         motifs[0].occurrences.pop();
-        let (out, stats) = cache.label(&lab, &[(3, 7)], &motifs);
+        let (out, reused_from, stats) = cache.label(&lab, &[(3, 7)], &motifs);
         assert_eq!(stats.relabeled, 1);
+        assert!(!out.is_empty());
+        assert_eq!(reused_from, vec![None; out.len()]);
         let direct = lab.label_motifs(&motifs);
         assert_eq!(out.len(), direct.len());
         // A round over a different key set prunes the old entry.

@@ -26,7 +26,6 @@
 
 pub mod assignment;
 pub mod clustering;
-pub mod dictionary;
 pub mod flat;
 pub mod kmeans;
 pub mod label_cache;
@@ -44,7 +43,6 @@ pub use clustering::{
 };
 pub use kmeans::kmedoids_label;
 pub use label_cache::{LabelCache, LabelCacheStats, MotifKey};
-pub use dictionary::{parse_dictionary, write_dictionary, DictionaryError};
 pub use flat::{namespace_from_tag, FlatMotifs};
 pub use labeled::{LabeledDirectedMotif, LabeledMotif};
 pub use labeling::{LabelingScheme, VertexLabel};

@@ -1,17 +1,16 @@
 //! Segment-level incremental maintenance of the [`PostingIndex`].
 //!
 //! The posting index is motif-major in everything it derives — one
-//! count plane and one posting run per motif — but stores postings
+//! count plane and one posting run per motif, the *segments* that
+//! [`PostingIndex::build`] assembles — but stores postings
 //! protein-major, so a naive "patch the dirty motif" would still
 //! re-walk every occurrence to rebuild the interleave.
-//! [`SegmentedIndex`] keeps the per-motif intermediates (the *segments*)
-//! alive between deltas: a motif whose stored occurrences did not
-//! change reuses its plane slab and posting run bit-for-bit, and only
-//! the dirty segments are recomputed. Assembly then replays
-//! [`PostingIndex::build`]'s exact visit order over the segments, so
-//! the output is byte-identical to a from-scratch build (pinned by
-//! `tests/prop_postings.rs`-style equality tests in this module and the
-//! delta proptests).
+//! [`SegmentedIndex`] keeps the segments alive between deltas and
+//! decides only which old segment each motif takes: a motif the caller
+//! proves clean reuses its plane slab and posting run bit-for-bit, and
+//! the rest are segmented and assembled by the same code as a
+//! from-scratch build, so the output is byte-identical to one (pinned by
+//! the equality tests in this module and the delta proptests).
 //!
 //! LMS (Eq. 4) rows are always recomputed — they are `O(motifs)` and
 //! normalized by a per-size maximum, so one dirty motif can move every
@@ -21,20 +20,8 @@
 //! is unchanged; the updater checks this internally.
 
 use crate::lms::lms_scores;
-use crate::postings::{Posting, PostingIndex};
+use crate::postings::{segment_motifs, PostingIndex, Segment};
 use lamofinder::LabeledMotif;
-use std::collections::HashMap;
-
-/// The per-motif intermediates of one [`PostingIndex::build`]: the
-/// count plane slab and the posting run in full-scan visit order.
-#[derive(Clone, Debug, Default, PartialEq)]
-struct MotifSegment {
-    /// `size * C` Eq. 5 vote counts, or empty for zero-strength motifs.
-    plane: Vec<f64>,
-    /// `(protein, occurrence, position, multiplicity)` in visit order
-    /// (occurrence-major, then position); empty for zero-strength.
-    run: Vec<(u32, u32, u32, u32)>,
-}
 
 /// A [`PostingIndex`] factory that remembers per-motif segments so an
 /// edge delta only recomputes the dirty ones.
@@ -42,7 +29,7 @@ pub struct SegmentedIndex {
     n_categories: usize,
     protein_count: usize,
     lms: Vec<f64>,
-    segments: Vec<MotifSegment>,
+    segments: Vec<Segment>,
 }
 
 /// What one [`SegmentedIndex::update`] recomputed.
@@ -90,154 +77,29 @@ impl SegmentedIndex {
         assert_eq!(motifs.len(), reuse.len());
         assert_eq!(functions.len(), self.protein_count, "annotation table is delta-invariant");
         let lms = lms_scores(motifs);
-        let mut stats = IndexDeltaStats::default();
-        let mut old_segments: Vec<Option<MotifSegment>> =
+        let old_lms = std::mem::take(&mut self.lms);
+        let mut old_segments: Vec<Option<Segment>> =
             std::mem::take(&mut self.segments).into_iter().map(Some).collect();
-        let mut segments: Vec<MotifSegment> = Vec::with_capacity(motifs.len());
-        for (mi, motif) in motifs.iter().enumerate() {
-            let zero = lms[mi] <= 0.0;
-            let reused = reuse[mi].and_then(|j| {
-                // A segment survives only if its zero-strength status
-                // does too — the plane of a flipped motif changes shape.
-                let was_zero = self.lms.get(j).map(|&l| l <= 0.0);
-                if was_zero == Some(zero) {
-                    old_segments.get_mut(j).and_then(Option::take)
-                } else {
-                    None
-                }
-            });
-            match reused {
-                Some(seg) => {
-                    stats.segments_reused += 1;
-                    segments.push(seg);
-                }
-                None => {
-                    stats.segments_rebuilt += 1;
-                    segments.push(compute_segment(
-                        motif,
-                        functions,
-                        self.n_categories,
-                        zero,
-                    ));
-                }
+        let mut segments_reused = 0;
+        self.segments = segment_motifs(motifs, &lms, functions, self.n_categories, |mi| {
+            // A segment survives only if its zero-strength status does
+            // too — the plane of a flipped motif changes shape.
+            let j = reuse[mi]?;
+            let was_zero = *old_lms.get(j)? <= 0.0;
+            if was_zero != (lms[mi] <= 0.0) {
+                return None;
             }
-        }
+            let segment = old_segments.get_mut(j)?.take();
+            segments_reused += usize::from(segment.is_some());
+            segment
+        });
+        let stats = IndexDeltaStats {
+            segments_reused,
+            segments_rebuilt: motifs.len() - segments_reused,
+        };
         self.lms = lms.clone();
-        self.segments = segments;
-        (self.assemble(lms, functions), stats)
+        (PostingIndex::assemble(lms, &self.segments, functions, self.n_categories), stats)
     }
-
-    /// Replay [`PostingIndex::build`]'s assembly over the segments.
-    fn assemble(&self, lms: Vec<f64>, functions: &[Vec<usize>]) -> PostingIndex {
-        let protein_count = self.protein_count;
-        let mut count_offsets: Vec<u32> = Vec::with_capacity(self.segments.len() + 1);
-        count_offsets.push(0);
-        let mut counts: Vec<f64> = Vec::new();
-        let mut per_protein = vec![0u32; protein_count];
-        for seg in &self.segments {
-            counts.extend_from_slice(&seg.plane);
-            count_offsets.push(counts.len() as u32);
-            for &(p, ..) in &seg.run {
-                per_protein[p as usize] += 1;
-            }
-        }
-
-        let mut posting_offsets: Vec<u32> = Vec::with_capacity(protein_count + 1);
-        let mut total = 0u32;
-        posting_offsets.push(0);
-        for &n in &per_protein {
-            total += n;
-            posting_offsets.push(total);
-        }
-        let mut cursor: Vec<u32> = posting_offsets[..protein_count].to_vec();
-        let mut postings = vec![
-            Posting {
-                motif: 0,
-                occurrence: 0,
-                position: 0,
-                multiplicity: 0,
-            };
-            total as usize
-        ];
-        for (mi, seg) in self.segments.iter().enumerate() {
-            for &(p, occurrence, position, multiplicity) in &seg.run {
-                let slot = cursor[p as usize] as usize;
-                cursor[p as usize] += 1;
-                postings[slot] = Posting {
-                    motif: mi as u32,
-                    occurrence,
-                    position,
-                    multiplicity,
-                };
-            }
-        }
-
-        let mut function_offsets: Vec<u32> = Vec::with_capacity(protein_count + 1);
-        function_offsets.push(0);
-        let mut flat_functions: Vec<u32> = Vec::new();
-        for f in functions {
-            flat_functions.extend(f.iter().map(|&c| c as u32));
-            function_offsets.push(flat_functions.len() as u32);
-        }
-
-        PostingIndex {
-            n_categories: self.n_categories as u32,
-            lms,
-            posting_offsets,
-            postings,
-            count_offsets,
-            counts,
-            function_offsets,
-            functions: flat_functions,
-        }
-    }
-}
-
-/// Compute one motif's segment exactly as [`PostingIndex::build`]'s
-/// two passes visit it.
-fn compute_segment(
-    motif: &LabeledMotif,
-    functions: &[Vec<usize>],
-    n_categories: usize,
-    zero_strength: bool,
-) -> MotifSegment {
-    if zero_strength {
-        return MotifSegment::default();
-    }
-    let protein_count = functions.len();
-    let k = motif.size();
-    let mut plane = vec![0.0f64; k * n_categories];
-    for occ in &motif.occurrences {
-        for (v, &protein) in occ.vertices.iter().enumerate() {
-            for &c in &functions[protein.index()] {
-                plane[v * n_categories + c] += 1.0;
-            }
-        }
-    }
-    let mut occupancy: HashMap<(u32, u32), u32> = HashMap::new();
-    for occ in &motif.occurrences {
-        for (v, &protein) in occ.vertices.iter().enumerate() {
-            *occupancy.entry((protein.0, v as u32)).or_insert(0) += 1;
-        }
-    }
-    let mut run = Vec::new();
-    for (oi, occ) in motif.occurrences.iter().enumerate() {
-        for (v, &protein) in occ.vertices.iter().enumerate() {
-            if protein.index() >= protein_count {
-                continue;
-            }
-            run.push((
-                protein.0,
-                oi as u32,
-                v as u32,
-                occupancy
-                    .get(&(protein.0, v as u32))
-                    .copied()
-                    .unwrap_or(0),
-            ));
-        }
-    }
-    MotifSegment { plane, run }
 }
 
 #[cfg(test)]

@@ -14,9 +14,16 @@
 //! O(Σ_g |g| · |occ(g)| · C) — with zero allocation when the caller
 //! reuses a [`PredictScratch`].
 //!
-//! The two paths are **bitwise identical**: postings are ordered exactly
-//! as the full scan visits them (motif-major, then occurrence, then
-//! position), the count planes are accumulated in the same order with
+//! This module is the only code that turns motifs into postings. A build
+//! first turns every motif into a *segment* — its count plane and its
+//! posting run, motif-major — and then assembles the segments into the
+//! protein-major index. The incremental updater (`crate::delta`) keeps
+//! the segments between deltas and hands clean ones back to the same
+//! assembly.
+//!
+//! The merge and the full scan are **bitwise identical**: postings are
+//! ordered exactly as the full scan visits them (motif-major, then
+//! occurrence, then position), the count planes are accumulated in the same order with
 //! the same `f64` operations, and the ranked output goes through the
 //! shared [`rank_scores`]. The full scan stays in the tree as the
 //! property-tested oracle (`tests/prop_postings.rs`).
@@ -90,49 +97,120 @@ pub struct PostingIndex {
     pub functions: Vec<u32>,
 }
 
+/// One motif's share of a [`PostingIndex`]: its count plane and its
+/// posting run. A segment is a function of the motif's occurrences, the
+/// annotation table and whether the motif has positive strength, so an
+/// incremental update can carry it over unchanged (`crate::delta`).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(crate) struct Segment {
+    /// `size * C` δ counts in full-scan order; empty for zero-strength
+    /// motifs.
+    plane: Vec<f64>,
+    /// `(protein, occurrence, position, multiplicity)` in visit order
+    /// (occurrence-major, then position); empty for zero-strength motifs.
+    run: Vec<(u32, u32, u32, u32)>,
+}
+
+/// Segment every motif in dictionary order, taking `reuse(m)`'s segment
+/// for motif `m` where it offers one and computing the rest.
+///
+/// Multiplicity of (protein, position) within one motif is counted in a
+/// dense `protein_count × k` array shared by every motif: slot
+/// `p * k + v`. Only the slots a motif touched are zeroed again after
+/// it, so the reset costs what the count did.
+pub(crate) fn segment_motifs(
+    motifs: &[LabeledMotif],
+    lms: &[f64],
+    functions: &[Vec<usize>],
+    n_categories: usize,
+    mut reuse: impl FnMut(usize) -> Option<Segment>,
+) -> Vec<Segment> {
+    let protein_count = functions.len();
+    let mut occupancy: Vec<u32> = Vec::new();
+    let mut segments = Vec::with_capacity(motifs.len());
+    for (mi, motif) in motifs.iter().enumerate() {
+        if let Some(segment) = reuse(mi) {
+            segments.push(segment);
+            continue;
+        }
+        if lms[mi] <= 0.0 {
+            segments.push(Segment::default());
+            continue;
+        }
+        let k = motif.size();
+        let mut plane = vec![0.0f64; k * n_categories];
+        for occ in &motif.occurrences {
+            for (v, &protein) in occ.vertices.iter().enumerate() {
+                for &c in &functions[protein.index()] {
+                    plane[v * n_categories + c] += 1.0;
+                }
+            }
+        }
+        // Every slot is zero between motifs, so growing keeps that true.
+        if occupancy.len() < protein_count * k {
+            occupancy.resize(protein_count * k, 0);
+        }
+        let occupants = || {
+            motif.occurrences.iter().flat_map(|occ| {
+                occ.vertices.iter().enumerate().map(|(v, &protein)| (v, protein.index()))
+            })
+        };
+        for (v, p) in occupants() {
+            occupancy[p * k + v] += 1;
+        }
+        let mut run = Vec::with_capacity(motif.occurrences.len() * k);
+        for (oi, occ) in motif.occurrences.iter().enumerate() {
+            for (v, &protein) in occ.vertices.iter().enumerate() {
+                let multiplicity = occupancy[protein.index() * k + v];
+                run.push((protein.0, oi as u32, v as u32, multiplicity));
+            }
+        }
+        for (v, p) in occupants() {
+            occupancy[p * k + v] = 0;
+        }
+        segments.push(Segment { plane, run });
+    }
+    segments
+}
+
 impl PostingIndex {
-    /// Build the index. `functions[p]` lists protein `p`'s category
-    /// indices (each `< n_categories`), exactly as handed to the
-    /// full-scan predictor's `PredictionContext`.
+    /// Build the index: segment every motif, then assemble.
+    /// `functions[p]` lists protein `p`'s category indices (each
+    /// `< n_categories`), exactly as handed to the full-scan predictor's
+    /// `PredictionContext`. Every occurrence vertex must be below
+    /// `functions.len()`.
     pub fn build(
         motifs: &[LabeledMotif],
         functions: &[Vec<usize>],
         n_categories: usize,
     ) -> PostingIndex {
-        let protein_count = functions.len();
         let lms = lms_scores(motifs);
+        let segments = segment_motifs(motifs, &lms, functions, n_categories, |_| None);
+        PostingIndex::assemble(lms, &segments, functions, n_categories)
+    }
 
-        // Pass 1: per-protein posting counts (for exact allocation) and
-        // the count planes, accumulated in full-scan order.
-        let mut per_protein = vec![0u32; protein_count];
-        let mut count_offsets: Vec<u32> = Vec::with_capacity(motifs.len() + 1);
+    /// Interleave motif-major segments into the protein-major index.
+    /// Placing each run in motif order appends every protein's postings
+    /// already sorted by (motif, occurrence, position).
+    pub(crate) fn assemble(
+        lms: Vec<f64>,
+        segments: &[Segment],
+        functions: &[Vec<usize>],
+        n_categories: usize,
+    ) -> PostingIndex {
+        let protein_count = functions.len();
+        let mut count_offsets: Vec<u32> = Vec::with_capacity(segments.len() + 1);
         count_offsets.push(0);
         let mut counts: Vec<f64> = Vec::new();
-        for (mi, motif) in motifs.iter().enumerate() {
-            if lms[mi] <= 0.0 {
-                count_offsets.push(counts.len() as u32);
-                continue;
-            }
-            let k = motif.size();
-            let plane_start = counts.len();
-            counts.resize(plane_start + k * n_categories, 0.0);
-            for occ in &motif.occurrences {
-                for (v, &protein) in occ.vertices.iter().enumerate() {
-                    let p = protein.index();
-                    if p < protein_count {
-                        per_protein[p] += 1;
-                    }
-                    for &c in &functions[protein.index()] {
-                        counts[plane_start + v * n_categories + c] += 1.0;
-                    }
-                }
-            }
+        let mut per_protein = vec![0u32; protein_count];
+        for segment in segments {
+            counts.extend_from_slice(&segment.plane);
             count_offsets.push(counts.len() as u32);
+            for &(p, ..) in &segment.run {
+                per_protein[p as usize] += 1;
+            }
         }
 
-        // Pass 2: fill posting lists. Iterating motifs/occurrences/
-        // positions in order appends each protein's postings already
-        // sorted by (motif, occurrence, position).
         let mut posting_offsets: Vec<u32> = Vec::with_capacity(protein_count + 1);
         let mut total = 0u32;
         posting_offsets.push(0);
@@ -150,47 +228,16 @@ impl PostingIndex {
             };
             total as usize
         ];
-        // Multiplicity of (protein, position) within one motif, counted
-        // in a dense `protein_count × k` array shared by every motif:
-        // slot `p * k + v`. Only the slots a motif touched are zeroed
-        // again after it, so the reset costs what the count did.
-        let max_size = motifs.iter().map(LabeledMotif::size).max().unwrap_or(0);
-        let mut occupancy = vec![0u32; protein_count * max_size];
-        for (mi, motif) in motifs.iter().enumerate() {
-            if lms[mi] <= 0.0 {
-                continue;
-            }
-            let k = motif.size();
-            let occupants = || {
-                motif.occurrences.iter().flat_map(|occ| {
-                    occ.vertices
-                        .iter()
-                        .enumerate()
-                        .map(|(v, &protein)| (v, protein.index()))
-                        .filter(|&(_, p)| p < protein_count)
-                })
-            };
-            for (v, p) in occupants() {
-                occupancy[p * k + v] += 1;
-            }
-            for (oi, occ) in motif.occurrences.iter().enumerate() {
-                for (v, &protein) in occ.vertices.iter().enumerate() {
-                    let p = protein.index();
-                    if p >= protein_count {
-                        continue;
-                    }
-                    let slot = cursor[p] as usize;
-                    cursor[p] += 1;
-                    postings[slot] = Posting {
-                        motif: mi as u32,
-                        occurrence: oi as u32,
-                        position: v as u32,
-                        multiplicity: occupancy[p * k + v],
-                    };
-                }
-            }
-            for (v, p) in occupants() {
-                occupancy[p * k + v] = 0;
+        for (mi, segment) in segments.iter().enumerate() {
+            for &(p, occurrence, position, multiplicity) in &segment.run {
+                let slot = cursor[p as usize] as usize;
+                cursor[p as usize] += 1;
+                postings[slot] = Posting {
+                    motif: mi as u32,
+                    occurrence,
+                    position,
+                    multiplicity,
+                };
             }
         }
 

@@ -49,6 +49,18 @@ impl ModelArtifact {
     /// labeled dictionary; `ctx` is the same prediction context the
     /// batch evaluator uses (network + annotations + category space).
     pub fn build(motifs: &[LabeledMotif], ctx: &PredictionContext<'_>) -> ModelArtifact {
+        let index = PostingIndex::build(motifs, ctx.functions, ctx.n_categories);
+        ModelArtifact::with_index(motifs, index, ctx)
+    }
+
+    /// Bundle `motifs` with the `index` already compiled from them
+    /// under `ctx` — the incremental trainer's way in, which maintains
+    /// its index across deltas instead of rebuilding it.
+    pub(crate) fn with_index(
+        motifs: &[LabeledMotif],
+        index: PostingIndex,
+        ctx: &PredictionContext<'_>,
+    ) -> ModelArtifact {
         ModelArtifact {
             meta: ArtifactMeta {
                 protein_count: ctx.network.vertex_count() as u64,
@@ -57,7 +69,7 @@ impl ModelArtifact {
             },
             category_terms: ctx.category_terms.iter().map(|t| t.0).collect(),
             motifs: FlatMotifs::from_motifs(motifs),
-            index: PostingIndex::build(motifs, ctx.functions, ctx.n_categories),
+            index,
         }
     }
 

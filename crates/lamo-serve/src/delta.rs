@@ -8,7 +8,10 @@
 //! one [`EdgeDelta`] through all of them and recompiles the
 //! [`ModelArtifact`], with the invariant the delta proptests pin: the
 //! serialized artifact is **byte-identical** to training from scratch
-//! on the post-delta network.
+//! on the post-delta network. The label cache decides reuse once: the
+//! reuse map it returns is handed to the segmented index unchanged, and
+//! the artifact is wrapped by the same constructor as
+//! [`ModelArtifact::build`].
 //!
 //! The trainer is transactional at the granularity the layers provide:
 //! a validation error or cooperative cancellation leaves every census
@@ -25,16 +28,15 @@
 //! tests can prove a crash anywhere in the publish path leaves both the
 //! served epoch and the store's recovery outcome unchanged.
 
-use crate::artifact::{ArtifactMeta, ModelArtifact};
+use crate::artifact::ModelArtifact;
 use crate::server::Server;
 use crate::store::{ArtifactStore, StoreError};
-use function_prediction::{IndexDeltaStats, SegmentedIndex};
+use function_prediction::{IndexDeltaStats, PredictionContext, SegmentedIndex};
 use go_ontology::TermId;
-use lamofinder::{FlatMotifs, LaMoFinder, LabelCache, LabelCacheStats, MotifKey};
-use motif_finder::{CensusDeltaStats, IncrementalCensus, Motif, Occurrence};
+use lamofinder::{LaMoFinder, LabelCache, LabelCacheStats, MotifKey};
+use motif_finder::{CensusDeltaStats, IncrementalCensus, Motif};
 use par_util::{faultpoint, RunContext};
 use ppi_graph::{DeltaError, EdgeDelta, Graph};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Pipeline knobs the trainer keeps fixed across deltas (the caches
@@ -97,14 +99,6 @@ impl DeltaReport {
     }
 }
 
-/// Where the previous round put one motif's labeled block in the flat
-/// dictionary, plus the occurrence window it was labeled from.
-struct PrevBlock {
-    start: usize,
-    len: usize,
-    occurrences: Vec<Occurrence>,
-}
-
 /// A live model: owns the incremental censuses, the label cache and
 /// the segmented index, and keeps a compiled [`ModelArtifact`] current
 /// under edge deltas.
@@ -116,9 +110,6 @@ pub struct IncrementalTrainer<'a> {
     censuses: Vec<IncrementalCensus>,
     cache: LabelCache,
     index: SegmentedIndex,
-    /// Previous round's labeled-block layout, keyed by stable class
-    /// identity — the cleanliness proof handed to the segmented index.
-    prev_blocks: HashMap<MotifKey, PrevBlock>,
     artifact: ModelArtifact,
 }
 
@@ -158,7 +149,6 @@ impl<'a> IncrementalTrainer<'a> {
             censuses,
             cache: LabelCache::new(),
             index,
-            prev_blocks: HashMap::new(),
             artifact: ModelArtifact::default(),
         };
         trainer.refresh();
@@ -237,67 +227,19 @@ impl<'a> IncrementalTrainer<'a> {
             }
         }
 
-        let (labeled, label_stats) = self.cache.label(&self.labeler, &keys, &motifs);
-
-        // Recover each motif's labeled block: outputs are concatenated
-        // in motif order, and patterns are canonical representatives —
-        // distinct per class — so a pattern change marks the boundary.
-        let mut blocks: Vec<(usize, usize)> = vec![(0, 0); motifs.len()];
-        let mut mi = 0usize;
-        for (li, lm) in labeled.iter().enumerate() {
-            while motifs[mi].pattern != lm.pattern {
-                mi += 1;
-            }
-            if blocks[mi].1 == 0 {
-                blocks[mi].0 = li;
-            }
-            blocks[mi].1 += 1;
-        }
-
-        // Cleanliness proof for the segmented index: a motif whose
-        // stored window is unchanged since the previous round emitted
-        // clones of its previous labeled block (the cache patches only
-        // frequency and uniqueness, which never reach the segments), so
-        // its labeled entries map 1:1 onto the previous flat positions.
-        let mut reuse: Vec<Option<usize>> = vec![None; labeled.len()];
-        for (i, motif) in motifs.iter().enumerate() {
-            let (start, len) = blocks[i];
-            if let Some(prev) = self.prev_blocks.get(&keys[i]) {
-                if prev.len == len && prev.occurrences == motif.occurrences {
-                    for j in 0..len {
-                        reuse[start + j] = Some(prev.start + j);
-                    }
-                }
-            }
-        }
-        let (index, index_stats) = self.index.update(&labeled, self.functions, &reuse);
-
-        self.prev_blocks = motifs
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                (
-                    keys[i],
-                    PrevBlock {
-                        start: blocks[i].0,
-                        len: blocks[i].1,
-                        occurrences: m.occurrences.clone(),
-                    },
-                )
-            })
-            .collect();
-
-        let graph = self.censuses[0].graph();
-        self.artifact = ModelArtifact {
-            meta: ArtifactMeta {
-                protein_count: graph.vertex_count() as u64,
-                network_edges: graph.edge_count() as u64,
-                n_categories: self.category_terms.len() as u32,
-            },
-            category_terms: self.category_terms.iter().map(|t| t.0).collect(),
-            motifs: FlatMotifs::from_motifs(&labeled),
-            index,
+        // The cache's reuse map is the segmented index's cleanliness
+        // proof: a reused entry is a clone of the previous round's entry
+        // at the mapped index, and the cache patches only frequency and
+        // uniqueness, which never reach the segments.
+        let (labeled, reused_from, label_stats) = self.cache.label(&self.labeler, &keys, &motifs);
+        let (index, index_stats) = self.index.update(&labeled, self.functions, &reused_from);
+        let ctx = PredictionContext {
+            network: self.censuses[0].graph(),
+            functions: self.functions,
+            n_categories: self.category_terms.len(),
+            category_terms: self.category_terms,
         };
+        self.artifact = ModelArtifact::with_index(&labeled, index, &ctx);
 
         DeltaReport {
             census: Vec::new(),

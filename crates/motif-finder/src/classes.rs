@@ -574,23 +574,6 @@ pub fn classify_size_k(g: &Graph, k: usize) -> Vec<SubgraphClass> {
     collector.into_classes()
 }
 
-/// Count size-`k` class frequencies keyed by the class patterns of
-/// `reference` (used by uniqueness testing: how often does each real
-/// motif appear in a randomized network?). Classes of the randomized
-/// network that match no reference pattern are ignored.
-pub fn count_against_reference(g: &Graph, k: usize, reference: &[&Graph]) -> Vec<usize> {
-    let classes = classify_size_k(g, k);
-    reference
-        .iter()
-        .map(|pat| {
-            classes
-                .iter()
-                .find(|c| ppi_graph::are_isomorphic(&c.pattern, pat))
-                .map_or(0, |c| c.frequency)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -671,18 +654,6 @@ mod tests {
         // disconnected from each other).
         assert_eq!(classes.len(), 1);
         assert_eq!(classes[0].frequency, 1);
-    }
-
-    #[test]
-    fn count_against_reference_finds_matches() {
-        let g = Graph::from_edges(7, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6)]);
-        let triangle = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
-        let path = Graph::from_edges(3, &[(0, 1), (1, 2)]);
-        let star4 = Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
-        let counts = count_against_reference(&g, 3, &[&triangle, &path]);
-        assert_eq!(counts, vec![1, 2]);
-        let counts4 = count_against_reference(&g, 4, &[&star4]);
-        assert_eq!(counts4, vec![0]);
     }
 
     #[test]
