@@ -22,7 +22,7 @@ use crate::occ_similarity::OccurrenceScorer;
 use go_ontology::{InformativeClasses, Ontology, ProteinId, TermSimilarity};
 use motif_finder::Occurrence;
 use par_util::{faultpoint, run_supervised, strided, PoolOutcome, RunContext, WorkerPanic};
-use ppi_graph::{enumerate_isomorphisms, DiGraph, Graph};
+use ppi_graph::{enumerate_isomorphisms, Graph};
 
 /// Linkage rule for cluster-to-cluster similarity.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -145,10 +145,7 @@ pub fn compute_frontier(ontology: &Ontology, informative: &InformativeClasses) -
 
 /// Symmetry information of a motif pattern: its automorphism orbits
 /// ("symmetric vertex sets"), a capped set of explicit automorphisms and
-/// the interchangeable vertex classes. Built from an undirected pattern
-/// for PPI motifs, or from a directed pattern for regulatory motifs —
-/// directed orbits are finer than their skeleton's (a feed-forward loop
-/// has three distinct roles though its skeleton is a triangle).
+/// the interchangeable vertex classes.
 pub struct MotifSymmetry {
     /// Number of pattern vertices.
     pub size: usize,
@@ -187,31 +184,6 @@ impl MotifSymmetry {
             classes,
         }
     }
-
-    /// Symmetry of a directed pattern.
-    pub fn directed(pattern: &DiGraph, max_autos: usize) -> Self {
-        let k = pattern.vertex_count();
-        let orbits = ppi_graph::directed_automorphism_orbits(pattern)
-            .into_iter()
-            .map(|o| o.into_iter().map(|v| v.index()).collect())
-            .collect();
-        let identity: Vec<usize> = (0..k).collect();
-        let mut autos = vec![identity.clone()];
-        ppi_graph::digraph::enumerate_digraph_isomorphisms(pattern, pattern, None, &mut |m| {
-            let perm: Vec<usize> = m.iter().map(|&v| v as usize).collect();
-            if perm != identity {
-                autos.push(perm);
-            }
-            autos.len() < max_autos
-        });
-        let classes = group_classes(&ppi_graph::directed_interchangeable_classes(pattern));
-        MotifSymmetry {
-            size: k,
-            orbits,
-            autos,
-            classes,
-        }
-    }
 }
 
 fn group_classes(class_of: &[u32]) -> Vec<Vec<usize>> {
@@ -233,19 +205,7 @@ pub fn cluster_occurrences(
     ctx: &LabelContext<'_>,
     config: &ClusteringConfig,
 ) -> Vec<LabeledCluster> {
-    let symmetry = MotifSymmetry::undirected(pattern, config.max_automorphisms);
-    cluster_occurrences_sym(&symmetry, occurrences, ctx, config)
-}
-
-/// [`cluster_occurrences`] with explicit pattern symmetry — the entry
-/// point for directed motifs.
-pub fn cluster_occurrences_sym(
-    symmetry: &MotifSymmetry,
-    occurrences: &[Occurrence],
-    ctx: &LabelContext<'_>,
-    config: &ClusteringConfig,
-) -> Vec<LabeledCluster> {
-    cluster_occurrences_sym_supervised(symmetry, occurrences, ctx, config, &RunContext::unbounded())
+    cluster_occurrences_supervised(pattern, occurrences, ctx, config, &RunContext::unbounded())
         .expect("a passive context without injected faults never panics a worker")
 }
 
@@ -264,22 +224,11 @@ pub fn cluster_occurrences_supervised(
     config: &ClusteringConfig,
     run: &RunContext,
 ) -> Result<Vec<LabeledCluster>, WorkerPanic> {
-    let symmetry = MotifSymmetry::undirected(pattern, config.max_automorphisms);
-    cluster_occurrences_sym_supervised(&symmetry, occurrences, ctx, config, run)
-}
-
-/// [`cluster_occurrences_supervised`] with explicit pattern symmetry.
-pub fn cluster_occurrences_sym_supervised(
-    symmetry: &MotifSymmetry,
-    occurrences: &[Occurrence],
-    ctx: &LabelContext<'_>,
-    config: &ClusteringConfig,
-    run: &RunContext,
-) -> Result<Vec<LabeledCluster>, WorkerPanic> {
     let n = occurrences.len();
     if n == 0 {
         return Ok(Vec::new());
     }
+    let symmetry = MotifSymmetry::undirected(pattern, config.max_automorphisms);
     let mut scorer = OccurrenceScorer::from_orbits(
         symmetry.orbits.clone(),
         symmetry.size,
@@ -293,7 +242,7 @@ pub fn cluster_occurrences_sym_supervised(
             return Ok(Vec::new());
         }
     }
-    let aligner = Aligner::from_symmetry(symmetry);
+    let aligner = Aligner::from_symmetry(&symmetry);
 
     // Pairwise occurrence similarities (SO, Eq. 3).
     let mut sim = so_matrix(&scorer, occurrences, resolve_threads(config.threads), run)?;

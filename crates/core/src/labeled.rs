@@ -70,70 +70,6 @@ impl LabeledMotif {
     }
 }
 
-/// A *directed* labeled network motif — the paper's future-work
-/// extension: the same labeling machinery applied to directed patterns
-/// (gene regulatory networks), where vertex roles like
-/// regulator/intermediate/target are distinguished by direction.
-#[derive(Clone, Debug)]
-pub struct LabeledDirectedMotif {
-    /// The directed topology.
-    pub pattern: ppi_graph::DiGraph,
-    /// Which GO branch the labels come from.
-    pub namespace: Namespace,
-    /// The labeling scheme (vocabulary-filtered; empty label = unknown).
-    pub scheme: LabelingScheme,
-    /// Occurrences supporting the scheme, aligned to the pattern.
-    pub occurrences: Vec<Occurrence>,
-    /// Frequency of the unlabeled parent motif.
-    pub motif_frequency: usize,
-    /// Uniqueness of the parent motif.
-    pub uniqueness: Option<f64>,
-}
-
-impl LabeledDirectedMotif {
-    /// Motif size.
-    pub fn size(&self) -> usize {
-        self.pattern.vertex_count()
-    }
-
-    /// Number of occurrences conforming to the scheme.
-    pub fn support(&self) -> usize {
-        self.occurrences.len()
-    }
-
-    /// Human-readable rendering with directed arcs.
-    pub fn render(&self, ontology: &Ontology) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "labeled directed motif: size={} support={} namespace={}",
-            self.size(),
-            self.support(),
-            self.namespace
-        );
-        for (i, label) in self.scheme.labels.iter().enumerate() {
-            let names: Vec<&str> = label
-                .terms
-                .iter()
-                .map(|&t| ontology.term(t).name.as_str())
-                .collect();
-            let rendered = if names.is_empty() {
-                "unknown".to_string()
-            } else {
-                names.join(", ")
-            };
-            let _ = writeln!(out, "  v{i}: {rendered}");
-        }
-        let arcs: Vec<String> = self
-            .pattern
-            .arcs()
-            .map(|(s, t)| format!("v{s}->v{t}"))
-            .collect();
-        let _ = writeln!(out, "  arcs: {}", arcs.join(" "));
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

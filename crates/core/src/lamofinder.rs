@@ -2,15 +2,15 @@
 //! runs the clustering over every motif's occurrence set (Algorithm 1).
 
 use crate::clustering::{
-    cluster_occurrences_supervised, cluster_occurrences_sym_supervised, compute_frontier,
-    resolve_threads, ClusteringConfig, LabelContext, MotifSymmetry,
+    cluster_occurrences_supervised, compute_frontier, resolve_threads, ClusteringConfig,
+    LabelContext,
 };
-use crate::labeled::{LabeledDirectedMotif, LabeledMotif};
+use crate::labeled::LabeledMotif;
 use go_ontology::{
     Annotations, DenseSimPlanes, InformativeClasses, InformativeConfig, KernelStats, Namespace,
     Ontology, ProteinId, TermId, TermSimilarity, TermWeights,
 };
-use motif_finder::{DirectedMotif, Motif, Occurrence};
+use motif_finder::{Motif, Occurrence};
 use par_util::{faultpoint, run_supervised, strided, Interrupted, RunContext, WorkerPanic};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -63,7 +63,7 @@ pub struct LabelCheckpoint {
 }
 
 /// `(motif index, its labeled output)` pairs of completed motifs.
-type MotifOutputs<T> = Vec<(usize, Vec<T>)>;
+type MotifOutputs = Vec<(usize, Vec<LabeledMotif>)>;
 
 /// Labeled Motif Finder (the paper's contribution, Section 3).
 ///
@@ -238,29 +238,21 @@ impl<'a> LaMoFinder<'a> {
         checkpoint: LabelCheckpoint,
         run: &RunContext,
     ) -> Result<Vec<LabeledMotif>, Interrupted<LabelCheckpoint>> {
-        self.label_supervised(motifs.len(), checkpoint.done, run, |mi, ctx, clustering| {
-            self.label_one(&motifs[mi], ctx, clustering, run)
-        })
-        .map_err(|interrupted| interrupted.map_checkpoint(|done| LabelCheckpoint { done }))
+        self.label_supervised(motifs, checkpoint.done, run)
+            .map_err(|interrupted| interrupted.map_checkpoint(|done| LabelCheckpoint { done }))
     }
 
     /// The supervised per-motif engine behind every labeling entry
-    /// point: fans `label` out over the motif indices of `0..n_motifs`
-    /// not already in `done`, and concatenates the per-motif outputs in
-    /// motif order. Cancellation or a worker panic returns
-    /// [`Interrupted`] carrying `done` plus every motif completed since,
-    /// sorted by index.
-    fn label_supervised<T, F>(
+    /// point: labels the motifs whose indices are not already in
+    /// `done`, and concatenates the per-motif outputs in motif order.
+    /// Cancellation or a worker panic returns [`Interrupted`] carrying
+    /// `done` plus every motif completed since, sorted by index.
+    fn label_supervised(
         &self,
-        n_motifs: usize,
-        mut done: MotifOutputs<T>,
+        motifs: &[Motif],
+        mut done: MotifOutputs,
         run: &RunContext,
-        label: F,
-    ) -> Result<Vec<T>, Interrupted<MotifOutputs<T>>>
-    where
-        T: Send,
-        F: Fn(usize, &LabelContext<'_>, &ClusteringConfig) -> Result<Vec<T>, WorkerPanic> + Sync,
-    {
+    ) -> Result<Vec<LabeledMotif>, Interrupted<MotifOutputs>> {
         let sim = TermSimilarity::new(self.ontology, &self.weights);
         // The dense planes come from the finder-lifetime cache (built
         // once; a pure function of the finder), so resuming from a
@@ -287,11 +279,13 @@ impl<'a> LaMoFinder<'a> {
         };
         // The plan is derived from the *full* motif count, so a resumed
         // run splits the thread budget exactly as the original did.
-        let (motif_threads, clustering) = self.thread_plan(n_motifs);
+        let (motif_threads, clustering) = self.thread_plan(motifs.len());
         let already: std::collections::HashSet<usize> = done.iter().map(|&(mi, _)| mi).collect();
-        let todo: Vec<usize> = (0..n_motifs).filter(|mi| !already.contains(mi)).collect();
+        let todo: Vec<usize> = (0..motifs.len())
+            .filter(|mi| !already.contains(mi))
+            .collect();
         let workers = motif_threads.min(todo.len()).max(1);
-        let completed: Mutex<MotifOutputs<T>> = Mutex::new(Vec::new());
+        let completed: Mutex<MotifOutputs> = Mutex::new(Vec::new());
         // A panic inside a nested clustering pool is already typed by
         // that pool; it is parked here and re-raised as this stage's
         // interruption (the outer pool only sees clean worker exits).
@@ -303,7 +297,7 @@ impl<'a> LaMoFinder<'a> {
                 }
                 faultpoint!(run, "core.label_motif");
                 let mi = todo[i];
-                match label(mi, &ctx, &clustering) {
+                match self.label_one(&motifs[mi], &ctx, &clustering, run) {
                     Ok(out) => {
                         if run.should_stop() {
                             // The context tripped somewhere inside
@@ -348,19 +342,6 @@ impl<'a> LaMoFinder<'a> {
         self.label_motifs(std::slice::from_ref(motif))
     }
 
-    /// Label directed motifs (the future-work extension): same
-    /// clustering, but with the pattern's *directed* symmetry, which
-    /// distinguishes regulator/target roles that skeleton symmetry would
-    /// merge. Runs the same supervised per-motif engine as
-    /// [`LaMoFinder::label_motifs`] under a passive [`RunContext`].
-    pub fn label_directed_motifs(&self, motifs: &[DirectedMotif]) -> Vec<LabeledDirectedMotif> {
-        let run = RunContext::unbounded();
-        self.label_supervised(motifs.len(), Vec::new(), &run, |mi, ctx, clustering| {
-            self.label_directed_one(&motifs[mi], ctx, clustering, &run)
-        })
-        .expect("a passive context without injected faults never interrupts labeling")
-    }
-
     fn label_one(
         &self,
         motif: &Motif,
@@ -385,30 +366,6 @@ impl<'a> LaMoFinder<'a> {
                     motif_frequency: motif.frequency,
                     uniqueness: motif.uniqueness,
                 }
-            })
-            .collect())
-    }
-
-    fn label_directed_one(
-        &self,
-        motif: &DirectedMotif,
-        ctx: &LabelContext<'_>,
-        clustering: &ClusteringConfig,
-        run: &RunContext,
-    ) -> Result<Vec<LabeledDirectedMotif>, WorkerPanic> {
-        let symmetry = MotifSymmetry::directed(&motif.pattern, clustering.max_automorphisms);
-        let occurrences = subsample(&motif.occurrences, self.config.max_occurrences);
-        let clusters =
-            cluster_occurrences_sym_supervised(&symmetry, &occurrences, ctx, clustering, run)?;
-        Ok(clusters
-            .into_iter()
-            .map(|cluster| LabeledDirectedMotif {
-                pattern: motif.pattern.clone(),
-                namespace: self.config.namespace,
-                scheme: cluster.scheme,
-                occurrences: cluster.occurrences,
-                motif_frequency: motif.frequency,
-                uniqueness: Some(motif.uniqueness),
             })
             .collect())
     }

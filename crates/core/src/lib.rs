@@ -37,14 +37,13 @@ pub mod occ_similarity;
 
 pub use assignment::{max_assignment, max_assignment_flat, AssignScratch};
 pub use clustering::{
-    cluster_occurrences, cluster_occurrences_supervised, cluster_occurrences_sym,
-    cluster_occurrences_sym_supervised, compute_frontier, so_matrix, ClusteringConfig,
-    LabelContext, LabeledCluster, Linkage, MotifSymmetry,
+    cluster_occurrences, cluster_occurrences_supervised, compute_frontier, so_matrix,
+    ClusteringConfig, LabelContext, LabeledCluster, Linkage, MotifSymmetry,
 };
 pub use kmeans::kmedoids_label;
 pub use label_cache::{LabelCache, LabelCacheStats, MotifKey};
 pub use flat::{namespace_from_tag, FlatMotifs};
-pub use labeled::{LabeledDirectedMotif, LabeledMotif};
+pub use labeled::LabeledMotif;
 pub use labeling::{LabelingScheme, VertexLabel};
 pub use lamofinder::{LaMoFinder, LaMoFinderConfig, LabelCheckpoint};
 pub use naive::{naive_label, NaiveOutcome};

@@ -118,8 +118,8 @@ impl<'a> OccurrenceScorer<'a> {
     }
 
     /// Build a scorer from explicit symmetric-vertex sets (position
-    /// lists). Used for directed motifs, whose orbits are finer than
-    /// their skeleton's.
+    /// lists), for callers that already hold the pattern's orbits, such
+    /// as the clustering's [`crate::MotifSymmetry`].
     pub fn from_orbits(
         orbits: Vec<Vec<usize>>,
         size: usize,

@@ -12,7 +12,10 @@
 use lamofinder::LabeledMotif;
 
 /// Compute `LMS` for every labeled motif. Motifs without a measured
-/// uniqueness contribute `s = 1` (the finder only emits unique motifs).
+/// uniqueness contribute `s = 1`. The batch pipeline always measures
+/// it, but the live trainer (`lamo_serve::IncrementalTrainer`) publishes
+/// every class with `uniqueness: None`, so live LMS weighs frequency
+/// alone.
 pub fn lms_scores(motifs: &[LabeledMotif]) -> Vec<f64> {
     let raw: Vec<f64> = motifs
         .iter()

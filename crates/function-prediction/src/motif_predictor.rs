@@ -12,9 +12,15 @@
 //! `δ_g(v, x)` is the frequency of function `x` at vertex `v` of `g`.
 //! We compute it over occurrences, always excluding those where `p`
 //! itself sits at `v`, so leave-one-out evaluation is leakage-free.
+//!
+//! Scores come from the posting-list merge the serving layer answers
+//! with ([`PostingIndex`]): each row is what [`PostingIndex::predict_into`]
+//! ranks. The full scan over every occurrence of every motif is kept
+//! only as the test oracle (`tests/support/full_scan.rs`).
 
 use crate::context::{FunctionPredictor, PredictionContext};
 use crate::lms::lms_scores;
+use crate::postings::{PostingIndex, PredictScratch};
 use lamofinder::LabeledMotif;
 
 /// The labeled-motif predictor. Owns the labeled motif dictionary.
@@ -47,53 +53,12 @@ impl FunctionPredictor for LabeledMotifPredictor {
     }
 
     fn predict_all(&self, ctx: &PredictionContext<'_>) -> Vec<Vec<f64>> {
-        let n = ctx.protein_count();
-        let mut scores = vec![vec![0.0f64; ctx.n_categories]; n];
-
-        for (mi, motif) in self.motifs.iter().enumerate() {
-            let strength = self.lms[mi];
-            if strength <= 0.0 {
-                continue;
-            }
-            let k = motif.size();
-            // Per-position category counts over all occurrences, plus the
-            // per-(position, protein) occupancy needed for exclusion.
-            let mut counts = vec![vec![0.0f64; ctx.n_categories]; k];
-            for occ in &motif.occurrences {
-                for (v, &protein) in occ.vertices.iter().enumerate() {
-                    for &c in &ctx.functions[protein.index()] {
-                        counts[v][c] += 1.0;
-                    }
-                }
-            }
-            // Contribution to each protein found at each position.
-            for occ in &motif.occurrences {
-                for (v, &protein) in occ.vertices.iter().enumerate() {
-                    let p = protein.index();
-                    for c in 0..ctx.n_categories {
-                        // δ excluding p's own occupancies of v: remove
-                        // p's own label contributions at this position.
-                        let own = occurrences_of_at(motif, p, v) as f64
-                            * f64::from(ctx.functions[p].contains(&c));
-                        let delta = counts[v][c] - own;
-                        if delta > 0.0 {
-                            scores[p][c] += delta * strength;
-                        }
-                    }
-                }
-            }
-        }
-        scores
+        let index = PostingIndex::build(&self.motifs, ctx.functions, ctx.n_categories);
+        let mut scratch = PredictScratch::new();
+        (0..ctx.protein_count())
+            .map(|p| index.score_into(p, &mut scratch).0.to_vec())
+            .collect()
     }
-}
-
-/// How many occurrences of `motif` place protein `p` at position `v`.
-fn occurrences_of_at(motif: &LabeledMotif, p: usize, v: usize) -> usize {
-    motif
-        .occurrences
-        .iter()
-        .filter(|o| o.vertices[v].index() == p)
-        .count()
 }
 
 #[cfg(test)]

@@ -2,11 +2,10 @@
 //! the serving layer compiles its per-protein answers with (DESIGN.md
 //! §16).
 //!
-//! [`LabeledMotifPredictor`](crate::LabeledMotifPredictor) answers
-//! "which functions does protein `p` have?" by re-walking **every**
-//! occurrence of **every** labeled motif, even though `p` participates
-//! in only a handful. [`PostingIndex`] inverts that scan once at build
-//! time: for each protein it records the sorted list of
+//! Eq. 5 read literally answers "which functions does protein `p`
+//! have?" by re-walking **every** occurrence of **every** labeled motif,
+//! even though `p` participates in only a handful. [`PostingIndex`]
+//! inverts that scan once at build time: for each protein it records the sorted list of
 //! `(motif, occurrence, position)` triples where the protein appears
 //! (its *postings*), and for each `(motif, position)` the per-category
 //! vote counts `δ` that Eq. 5 reads. A prediction is then a single merge
@@ -21,12 +20,14 @@
 //! the segments between deltas and hands clean ones back to the same
 //! assembly.
 //!
-//! The merge and the full scan are **bitwise identical**: postings are
-//! ordered exactly as the full scan visits them (motif-major, then
-//! occurrence, then position), the count planes are accumulated in the same order with
-//! the same `f64` operations, and the ranked output goes through the
-//! shared [`rank_scores`]. The full scan stays in the tree as the
-//! property-tested oracle (`tests/prop_postings.rs`).
+//! The merge is the only Eq. 5 accumulation in the library: the
+//! evaluation predictor [`LabeledMotifPredictor`](crate::LabeledMotifPredictor)
+//! reads its score rows, and serving ranks them. It is **bitwise
+//! identical** to the full scan: postings are ordered exactly as the
+//! full scan visits them (motif-major, then occurrence, then position),
+//! and the count planes are accumulated in the same order with the same
+//! `f64` operations. The full scan lives in `tests/support/full_scan.rs`
+//! as the property-tested oracle (`tests/prop_postings.rs`).
 
 use crate::lms::lms_scores;
 use lamofinder::LabeledMotif;
@@ -176,8 +177,7 @@ pub(crate) fn segment_motifs(
 impl PostingIndex {
     /// Build the index: segment every motif, then assemble.
     /// `functions[p]` lists protein `p`'s category indices (each
-    /// `< n_categories`), exactly as handed to the full-scan predictor's
-    /// `PredictionContext`. Every occurrence vertex must be below
+    /// `< n_categories`), exactly as in a `PredictionContext`. Every occurrence vertex must be below
     /// `functions.len()`.
     pub fn build(
         motifs: &[LabeledMotif],
@@ -286,13 +286,25 @@ impl PostingIndex {
     /// from the scratch, and the number of postings consumed (the
     /// serving layer's work-tick count for this query).
     ///
-    /// Bitwise identical to ranking the matching row of the full-scan
-    /// predictor's `predict_all`.
+    /// Bitwise identical to ranking the protein's full-scan score row.
     pub fn predict_into<'s>(
         &self,
         p: usize,
         scratch: &'s mut PredictScratch,
     ) -> (&'s [(u32, f64)], usize) {
+        let consumed = self.score_into(p, scratch).1;
+        rank_scores(&scratch.scores, &mut scratch.ranked);
+        (&scratch.ranked, consumed)
+    }
+
+    /// The merge behind [`PostingIndex::predict_into`], unranked:
+    /// returns protein `p`'s category scores, borrowed from the
+    /// scratch, and the number of postings consumed.
+    pub(crate) fn score_into<'s>(
+        &self,
+        p: usize,
+        scratch: &'s mut PredictScratch,
+    ) -> (&'s [f64], usize) {
         let c_n = self.n_categories as usize;
         scratch.scores.clear();
         scratch.scores.resize(c_n, 0.0);
@@ -310,9 +322,9 @@ impl PostingIndex {
             let mult = posting.multiplicity as f64;
             let cells = scratch.scores.iter_mut().zip(counts).zip(&scratch.own);
             for ((score, &count), &flag) in cells {
-                // Same operand construction as the oracle: the protein's
-                // own occupancies of this position are removed before
-                // the vote is weighed.
+                // Same operand construction as the full scan: the
+                // protein's own occupancies of this position are removed
+                // before the vote is weighed.
                 let own = mult * flag;
                 let delta = count - own;
                 if delta > 0.0 {
@@ -320,8 +332,7 @@ impl PostingIndex {
                 }
             }
         }
-        rank_scores(&scratch.scores, &mut scratch.ranked);
-        (&scratch.ranked, postings.len())
+        (&scratch.scores, postings.len())
     }
 
     /// Structural consistency check mirroring the build invariants, run
@@ -372,7 +383,7 @@ fn offsets_ok(offsets: &[u32], slab_len: usize) -> bool {
         && offsets.last().copied().unwrap_or(u32::MAX) as usize == slab_len
 }
 
-/// Deterministic ranking shared by the posting and full-scan paths:
+/// Deterministic ranking of a score row, shared by every Eq. 5 reader:
 /// descending score, ascending category index on ties (`total_cmp`, so
 /// the order is total even for pathological inputs).
 pub fn rank_scores(scores: &[f64], out: &mut Vec<(u32, f64)>) {
@@ -384,9 +395,7 @@ pub fn rank_scores(scores: &[f64], out: &mut Vec<(u32, f64)>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::{FunctionPredictor, PredictionContext};
-    use crate::motif_predictor::LabeledMotifPredictor;
-    use go_ontology::{Namespace, TermId};
+    use go_ontology::Namespace;
     use lamofinder::{LabelingScheme, VertexLabel};
     use motif_finder::Occurrence;
     use ppi_graph::{Graph, VertexId};
@@ -403,60 +412,6 @@ mod tests {
             motif_frequency: pairs.len(),
             uniqueness: Some(1.0),
         }
-    }
-
-    fn parity_case(motifs: Vec<LabeledMotif>, functions: Vec<Vec<usize>>, c_n: usize) {
-        let network = Graph::empty(functions.len());
-        let ctx = PredictionContext {
-            network: &network,
-            functions: &functions,
-            n_categories: c_n,
-            category_terms: &(0..c_n).map(|i| TermId(i as u32)).collect::<Vec<_>>(),
-        };
-        let oracle = LabeledMotifPredictor::new(motifs.clone()).predict_all(&ctx);
-        let index = PostingIndex::build(&motifs, &functions, c_n);
-        index.validate().unwrap();
-        let mut scratch = PredictScratch::new();
-        let mut want = Vec::new();
-        assert_eq!(oracle.len(), functions.len());
-        for (p, expected) in oracle.iter().enumerate() {
-            let (got, consumed) = index.predict_into(p, &mut scratch);
-            rank_scores(expected, &mut want);
-            assert_eq!(got, &want[..], "protein {p}");
-            assert_eq!(consumed, index.postings_of(p).len());
-            for (c, score) in got {
-                assert!(
-                    expected[*c as usize].to_bits() == score.to_bits(),
-                    "protein {p} category {c}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn matches_full_scan_on_shared_positions() {
-        let motifs = vec![edge_motif(&[(0, 1), (2, 3), (0, 3), (4, 1)])];
-        let functions = vec![vec![0], vec![1], vec![0, 1], vec![1], vec![0]];
-        parity_case(motifs, functions, 2);
-    }
-
-    #[test]
-    fn matches_full_scan_with_multiple_motifs_and_zero_strength() {
-        let mut weak = edge_motif(&[(5, 6)]);
-        weak.uniqueness = Some(0.0); // raw 0 within its size class ⇒ but
-                                     // max is positive, so LMS = 0 ⇒ skipped
-        let motifs = vec![
-            edge_motif(&[(0, 1), (2, 1), (3, 1)]),
-            weak,
-            edge_motif(&[(4, 5), (6, 5)]),
-        ];
-        let functions = vec![vec![0], vec![1], vec![2], vec![0, 2], vec![1], vec![2], vec![]];
-        parity_case(motifs, functions, 3);
-    }
-
-    #[test]
-    fn empty_dictionary_and_unannotated_proteins() {
-        parity_case(Vec::new(), vec![vec![], vec![0]], 2);
     }
 
     #[test]

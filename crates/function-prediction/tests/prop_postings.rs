@@ -1,15 +1,20 @@
 //! Property-based byte-identity oracle for the posting-list predictor:
-//! [`PostingIndex::predict_into`] must reproduce the full-scan
-//! [`LabeledMotifPredictor`] (the retained oracle) *bit for bit* on
-//! arbitrary worlds — mixed motif sizes, repeated proteins within an
-//! occurrence, zero-strength motifs, unannotated proteins, and empty
-//! dictionaries. Equal-up-to-epsilon is not enough: the serving layer
-//! promises byte-identical artifacts, so the score accumulation order
-//! itself is the contract.
+//! [`PostingIndex::predict_into`] and [`LabeledMotifPredictor`]'s score
+//! rows must reproduce the full scan (`support/full_scan.rs`) *bit for
+//! bit* on arbitrary worlds — mixed motif sizes, repeated proteins
+//! within an occurrence, zero-strength motifs, unannotated proteins, and
+//! empty dictionaries. Equal-up-to-epsilon is not enough: the serving
+//! layer promises byte-identical artifacts, and leave-one-out evaluation
+//! reads the raw rows, so the score accumulation order itself is the
+//! contract.
 
+#[path = "support/full_scan.rs"]
+mod full_scan;
+
+use full_scan::full_scan_scores;
 use function_prediction::{
-    rank_scores, FunctionPredictor, LabeledMotifPredictor, PostingIndex, PredictionContext,
-    PredictScratch,
+    rank_scores, FunctionPredictor, LabeledMotifPredictor, PostingIndex, PredictScratch,
+    PredictionContext,
 };
 use go_ontology::{Namespace, TermId};
 use lamofinder::{LabeledMotif, LabelingScheme, VertexLabel};
@@ -59,6 +64,84 @@ fn world_strategy() -> impl Strategy<Value = World> {
     })
 }
 
+fn edge_motif(pairs: &[(u32, u32)]) -> LabeledMotif {
+    LabeledMotif {
+        pattern: Graph::from_edges(2, &[(0, 1)]),
+        namespace: Namespace::BiologicalProcess,
+        scheme: LabelingScheme::new(vec![VertexLabel::unknown(); 2]),
+        occurrences: pairs
+            .iter()
+            .map(|&(a, b)| Occurrence::new(vec![VertexId(a), VertexId(b)]))
+            .collect(),
+        motif_frequency: pairs.len(),
+        uniqueness: Some(1.0),
+    }
+}
+
+/// The posting path against the full scan on one fixed world: ranked
+/// answers, each score's bits and the postings consumed.
+fn parity_case(motifs: Vec<LabeledMotif>, functions: Vec<Vec<usize>>, c_n: usize) {
+    let network = Graph::empty(functions.len());
+    let ctx = PredictionContext {
+        network: &network,
+        functions: &functions,
+        n_categories: c_n,
+        category_terms: &(0..c_n).map(|i| TermId(i as u32)).collect::<Vec<_>>(),
+    };
+    let oracle = full_scan_scores(&motifs, &ctx);
+    let index = PostingIndex::build(&motifs, &functions, c_n);
+    index.validate().unwrap();
+    let mut scratch = PredictScratch::new();
+    let mut want = Vec::new();
+    assert_eq!(oracle.len(), functions.len());
+    for (p, expected) in oracle.iter().enumerate() {
+        let (got, consumed) = index.predict_into(p, &mut scratch);
+        rank_scores(expected, &mut want);
+        assert_eq!(got, &want[..], "protein {p}");
+        assert_eq!(consumed, index.postings_of(p).len());
+        for (c, score) in got {
+            assert!(
+                expected[*c as usize].to_bits() == score.to_bits(),
+                "protein {p} category {c}"
+            );
+        }
+    }
+}
+
+#[test]
+fn matches_full_scan_on_shared_positions() {
+    let motifs = vec![edge_motif(&[(0, 1), (2, 3), (0, 3), (4, 1)])];
+    let functions = vec![vec![0], vec![1], vec![0, 1], vec![1], vec![0]];
+    parity_case(motifs, functions, 2);
+}
+
+#[test]
+fn matches_full_scan_with_multiple_motifs_and_zero_strength() {
+    let mut weak = edge_motif(&[(5, 6)]);
+    weak.uniqueness = Some(0.0); // raw 0 within its size class ⇒ but
+                                 // max is positive, so LMS = 0 ⇒ skipped
+    let motifs = vec![
+        edge_motif(&[(0, 1), (2, 1), (3, 1)]),
+        weak,
+        edge_motif(&[(4, 5), (6, 5)]),
+    ];
+    let functions = vec![
+        vec![0],
+        vec![1],
+        vec![2],
+        vec![0, 2],
+        vec![1],
+        vec![2],
+        vec![],
+    ];
+    parity_case(motifs, functions, 3);
+}
+
+#[test]
+fn empty_dictionary_and_unannotated_proteins() {
+    parity_case(Vec::new(), vec![vec![], vec![0]], 2);
+}
+
 fn build_motifs(w: &World) -> Vec<LabeledMotif> {
     w.motif_seeds
         .iter()
@@ -99,7 +182,7 @@ proptest! {
             n_categories: w.cats,
             category_terms: &terms,
         };
-        let oracle = LabeledMotifPredictor::new(motifs.clone()).predict_all(&ctx);
+        let oracle = full_scan_scores(&motifs, &ctx);
 
         let index = PostingIndex::build(&motifs, &w.functions, w.cats);
         prop_assert!(index.validate().is_ok());
@@ -117,6 +200,34 @@ proptest! {
                     g.1.to_bits(),
                     o.1.to_bits(),
                     "protein {} category {}: {} vs {}", p, g.0, g.1, o.1
+                );
+            }
+        }
+    }
+
+    /// The evaluation predictor's raw score rows — what leave-one-out
+    /// curves read — equal the full scan's, bit for bit.
+    #[test]
+    fn predictor_rows_are_bitwise_identical_to_full_scan(w in world_strategy()) {
+        let motifs = build_motifs(&w);
+        let network = Graph::empty(w.n);
+        let terms: Vec<TermId> = (0..w.cats as u32).map(TermId).collect();
+        let ctx = PredictionContext {
+            network: &network,
+            functions: &w.functions,
+            n_categories: w.cats,
+            category_terms: &terms,
+        };
+        let oracle = full_scan_scores(&motifs, &ctx);
+        let rows = LabeledMotifPredictor::new(motifs).predict_all(&ctx);
+        prop_assert_eq!(rows.len(), oracle.len());
+        for (p, (row, expected)) in rows.iter().zip(&oracle).enumerate() {
+            prop_assert_eq!(row.len(), expected.len(), "protein {}", p);
+            for (c, (got, want)) in row.iter().zip(expected).enumerate() {
+                prop_assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "protein {} category {}: {} vs {}", p, c, got, want
                 );
             }
         }

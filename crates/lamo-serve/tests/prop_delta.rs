@@ -17,18 +17,22 @@
 //! * **Publish** — [`publish_delta`] persists through the crash-safe
 //!   store and epoch-swaps the live server; answers on both sides of
 //!   the swap are bit-exact against the artifact of their epoch.
+//! * **Labels nothing** — a labeler whose σ or informative threshold
+//!   no class can reach publishes a valid artifact with no labeled
+//!   motifs, still takes deltas byte-identically to a rebuild, and
+//!   every answer is the all-zero ranking with no postings.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
-use function_prediction::{CategoryView, PredictScratch};
+use function_prediction::{rank_scores, CategoryView, PredictScratch};
 use go_ontology::{
     Annotations, InformativeConfig, Namespace, Ontology, OntologyBuilder, ProteinId, Relation,
     TermId,
 };
 use lamo_serve::{
-    publish_delta, write_artifact, ArtifactStore, IncrementalTrainer, ServeConfig, Server,
-    TrainerConfig,
+    publish_delta, read_artifact, write_artifact, ArtifactStore, IncrementalTrainer, ServeConfig,
+    Server, TrainerConfig,
 };
 use lamofinder::{ClusteringConfig, LaMoFinder, LaMoFinderConfig};
 use par_util::RunContext;
@@ -76,6 +80,7 @@ fn labeler<'a>(
     ontology: &'a Ontology,
     annotations: &'a Annotations,
     threads: usize,
+    (sigma, min_direct): (usize, usize),
 ) -> LaMoFinder<'a> {
     LaMoFinder::new(
         ontology,
@@ -83,11 +88,11 @@ fn labeler<'a>(
         LaMoFinderConfig {
             namespace: Namespace::BiologicalProcess,
             informative: InformativeConfig {
-                min_direct: 5,
+                min_direct,
                 ..Default::default()
             },
             clustering: ClusteringConfig {
-                sigma: 5,
+                sigma,
                 ..Default::default()
             },
             threads,
@@ -96,11 +101,23 @@ fn labeler<'a>(
     )
 }
 
+/// σ and the informative threshold every randomized-world trainer
+/// labels with, unless a test asks for another pair.
+const LABELING: (usize, usize) = (5, 5);
+
 fn mips_trainer(network: &Graph, threads: usize) -> IncrementalTrainer<'static> {
+    mips_trainer_labeling(network, threads, LABELING)
+}
+
+fn mips_trainer_labeling(
+    network: &Graph,
+    threads: usize,
+    labeling: (usize, usize),
+) -> IncrementalTrainer<'static> {
     let w = world();
     IncrementalTrainer::new(
         network,
-        labeler(&w.data.ontology, &w.data.annotations, threads),
+        labeler(&w.data.ontology, &w.data.annotations, threads, labeling),
         &w.view.functions,
         &w.data.categories,
         config(),
@@ -184,6 +201,52 @@ proptest! {
             write_artifact(scratch.artifact()),
             "incremental artifact diverged from from-scratch rebuild"
         );
+    }
+}
+
+/// The degenerate config that labels nothing: σ far above any class's
+/// support, or an informative threshold no term reaches. The trainer
+/// still publishes a valid artifact — with no labeled motifs — deltas
+/// still match a rebuild byte for byte, and the server answers every
+/// protein with the all-zero ranking from no postings.
+#[test]
+fn a_config_that_labels_nothing_serves_all_zero_answers() {
+    let w = world();
+    let n = w.data.network.vertex_count();
+    let mut zero_ranking = Vec::new();
+    rank_scores(&vec![0.0; w.data.categories.len()], &mut zero_ranking);
+    for labeling in [(100_000, 5), (5, 100_000)] {
+        let mut trainer = mips_trainer_labeling(&w.data.network, 1, labeling);
+        let mut s = 0x5eed_u64;
+        for _ in 0..2 {
+            assert_eq!(trainer.artifact().motifs.motif_count(), 0, "{labeling:?}");
+            let bytes = write_artifact(trainer.artifact());
+            let decoded = read_artifact(&bytes).expect("an empty model is a valid artifact");
+            assert_eq!(write_artifact(&decoded), bytes, "{labeling:?}");
+            let delta = random_delta(trainer.graph(), &mut s);
+            trainer
+                .apply_delta(&delta, &RunContext::unbounded())
+                .expect("generated deltas are valid");
+            let rebuilt = mips_trainer_labeling(trainer.graph(), 1, labeling);
+            assert_eq!(
+                write_artifact(trainer.artifact()),
+                write_artifact(rebuilt.artifact()),
+                "{labeling:?}: delta diverged from a rebuild"
+            );
+        }
+        assert_eq!(trainer.artifact().motifs.motif_count(), 0, "{labeling:?}");
+        let server = Server::start(
+            Arc::new(trainer.artifact().clone()),
+            ServeConfig::default(),
+            Arc::new(RunContext::unbounded()),
+        );
+        let proteins: Vec<usize> = (0..n).collect();
+        for (p, answer) in server.query_batch(&proteins).into_iter().enumerate() {
+            let got = answer.expect("every protein is in range");
+            assert_eq!(got.postings, 0, "{labeling:?} protein {p}");
+            assert_eq!(got.ranked, zero_ranking, "{labeling:?} protein {p}");
+        }
+        server.shutdown();
     }
 }
 

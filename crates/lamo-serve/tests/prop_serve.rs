@@ -2,7 +2,8 @@
 //!
 //! * **Oracle parity** — every answer the server produces (single or
 //!   batched, at 1/2/4 workers) is bitwise identical to the full-scan
-//!   [`LabeledMotifPredictor`] oracle on the same world.
+//!   oracle (`function-prediction/tests/support/full_scan.rs`) on the
+//!   same world.
 //! * **Format totality** — [`read_artifact`] never panics, on any byte
 //!   string; corruption (truncation, bit flips) surfaces as a typed
 //!   [`ArtifactError`] carrying a byte offset.
@@ -15,11 +16,13 @@
 //!   still queued resolves every pending slot to `Closed` or a real
 //!   (oracle-exact) prediction, at workers 1/2/4 — never a hang.
 
+#[path = "../../function-prediction/tests/support/full_scan.rs"]
+mod full_scan;
+
 use std::sync::Arc;
 
-use function_prediction::{
-    rank_scores, FunctionPredictor, LabeledMotifPredictor, PredictionContext,
-};
+use full_scan::full_scan_scores;
+use function_prediction::{rank_scores, PredictionContext};
 use go_ontology::{Namespace, TermId};
 use lamo_serve::{
     read_artifact, write_artifact, ModelArtifact, PendingQuery, ServeConfig, ServeError, Server,
@@ -108,7 +111,7 @@ fn build_artifact(w: &World) -> (ModelArtifact, Vec<Vec<f64>>) {
         n_categories: w.cats,
         category_terms: &terms,
     };
-    let oracle = LabeledMotifPredictor::new(motifs.clone()).predict_all(&ctx);
+    let oracle = full_scan_scores(&motifs, &ctx);
     let artifact = ModelArtifact::build(&motifs, &ctx);
     artifact.validate().expect("built artifact validates");
     (artifact, oracle)

@@ -578,6 +578,19 @@ pub fn classify_size_k(g: &Graph, k: usize) -> Vec<SubgraphClass> {
 mod tests {
     use super::*;
 
+    /// Every connected size-`k` vertex set of `g`, in the dense
+    /// walker's serial order.
+    fn each_connected_set(g: &Graph, k: usize, visit: &mut dyn FnMut(&[VertexId])) {
+        let bits = AdjBits::new(g);
+        let mut walker = crate::esu::DenseEsuWalker::new(&bits, k);
+        for v in 0..g.vertex_count() as u32 {
+            walker.enumerate_root(v, &mut |verts| {
+                visit(verts);
+                true
+            });
+        }
+    }
+
     #[test]
     fn triangles_and_paths_separate() {
         // Network: triangle 0-1-2 and path 3-4-5-6.
@@ -625,21 +638,6 @@ mod tests {
     }
 
     #[test]
-    fn cap_truncates_storage_but_not_frequency() {
-        // Star with 6 leaves: C(6,2)=15 path-of-3 occurrences.
-        let g = Graph::from_edges(7, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6)]);
-        let mut collector = ClassCollector::new(&g, 4);
-        crate::esu::enumerate_connected_subgraphs(&g, 3, &mut |verts| {
-            collector.add(verts);
-            true
-        });
-        let classes = collector.into_classes();
-        assert_eq!(classes.len(), 1);
-        assert_eq!(classes[0].frequency, 15);
-        assert_eq!(classes[0].occurrences.len(), 4);
-    }
-
-    #[test]
     fn same_degree_sequence_different_classes() {
         // C6 vs two triangles: same degree sequence; must split.
         let g = Graph::from_edges(
@@ -673,23 +671,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_is_reused_across_collectors() {
-        let g = Graph::from_edges(7, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6)]);
-        let cache = CanonCodeCache::default();
-        for _ in 0..2 {
-            let mut collector = ClassCollector::with_cache(&g, usize::MAX, &cache);
-            crate::esu::enumerate_connected_subgraphs(&g, 3, &mut |verts| {
-                collector.add(verts);
-                true
-            });
-            let classes = collector.into_classes();
-            assert_eq!(classes.len(), 2);
-        }
-        // Triangle bits + one labeled-path shape per distinct packed form.
-        assert!(cache.len() >= 2);
-    }
-
-    #[test]
     fn merge_matches_single_collector() {
         // Split a candidate stream across two "workers" by parity of the
         // serial tag; the merge must reproduce the single-collector
@@ -704,7 +685,7 @@ mod tests {
             let mut w0 = ClassCollector::with_cache(&g, max_stored, &cache);
             let mut w1 = ClassCollector::with_cache(&g, max_stored, &cache);
             let mut seq = 0u32;
-            crate::esu::enumerate_connected_subgraphs(&g, 4, &mut |verts| {
+            each_connected_set(&g, 4, &mut |verts| {
                 serial.add_tagged(verts, (0, seq));
                 if seq.is_multiple_of(2) {
                     w0.add_tagged(verts, (0, seq));
@@ -712,7 +693,6 @@ mod tests {
                     w1.add_tagged(verts, (0, seq));
                 }
                 seq += 1;
-                true
             });
             let expect = finalize_classes(serial.into_tagged_classes());
             let merged = finalize_classes(merge_tagged_classes(
@@ -775,7 +755,7 @@ mod tests {
         let mut w0 = ClassCollector::new(&g, usize::MAX);
         let mut w1 = ClassCollector::new(&g, usize::MAX);
         let mut seq = 0u32;
-        crate::esu::enumerate_connected_subgraphs(&g, k, &mut |verts| {
+        each_connected_set(&g, k, &mut |verts| {
             serial.add_tagged(verts, (0, seq));
             if seq.is_multiple_of(2) {
                 w0.add_tagged(verts, (0, seq));
@@ -783,7 +763,6 @@ mod tests {
                 w1.add_tagged(verts, (0, seq));
             }
             seq += 1;
-            true
         });
         assert!(seq > 2, "graph too sparse for the test to bite");
         let expect = finalize_classes(serial.into_tagged_classes());

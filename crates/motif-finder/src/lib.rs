@@ -9,13 +9,10 @@
 //!   networks;
 //! * [`uniqueness`] — frequency comparison against degree-matched
 //!   randomized networks (parallel and supervised);
-//! * [`directed`] — directed motif mining for regulatory networks (the
-//!   paper's future-work extension);
 //! * [`finder`] — the end-to-end [`MotifFinder`].
 
 pub mod classes;
 pub mod delta;
-pub mod directed;
 pub mod esu;
 pub mod finder;
 pub mod motif;
@@ -25,11 +22,7 @@ pub mod uniqueness;
 
 pub use classes::{classify_size_k, CanonCodeCache, ClassCollector, SubgraphClass};
 pub use delta::{CensusDeltaStats, ClassKey, IncrementalCensus};
-pub use directed::{classify_directed_size_k, find_directed_motifs, DirectedClass, DirectedMotif};
-pub use esu::{
-    count_connected_subgraphs, enumerate_connected_subgraphs, enumerate_connected_subgraphs_rooted,
-    DenseEsuWalker,
-};
+pub use esu::{count_connected_subgraphs, DenseEsuWalker};
 pub use finder::{FinderReport, MotifFinder, MotifFinderConfig};
 pub use motif::{Motif, Occurrence};
 pub use nemo::{

@@ -1,16 +1,16 @@
 //! Property tests pinning the dense discovery kernels (DESIGN.md §15)
 //! to the reference walker, byte for byte.
 //!
-//! The discovery front-end replaced the allocation-heavy [`EsuWalker`]
-//! hot path with [`DenseEsuWalker`] (bit-packed rows, flat extension
-//! arena) on the promise that the visit *sequence* — not just the visit
+//! The discovery front-end replaced the allocation-heavy list walker
+//! (now `support/esu_oracle.rs`) with [`DenseEsuWalker`] (bit-packed
+//! rows, flat extension arena) on the promise that the visit *sequence* — not just the visit
 //! set — is unchanged. That promise is what makes the swap invisible to
 //! the deterministic parallel merge: visit-order tags, truncation cuts
 //! and budget accounting all key off the serial enumeration order.
 //! These tests check the promise on random graphs:
 //!
 //! * per root, the dense walker emits the same occurrence lists in the
-//!   same order as the public rooted reference enumerator;
+//!   same order as the rooted reference enumerator;
 //! * early abort (the budget mechanism) stops both walkers at the same
 //!   prefix with the same abort flag;
 //! * full growth runs are byte-identical across worker counts 1/2/4
@@ -18,10 +18,11 @@
 //!   mid-range budgets that bind at extension levels, including the
 //!   `truncated_levels` / `capped_levels` flags.
 
-use motif_finder::{
-    enumerate_connected_subgraphs_rooted, grow_frequent_subgraphs, DenseEsuWalker, GrowthConfig,
-    GrowthReport,
-};
+#[path = "support/esu_oracle.rs"]
+mod esu_oracle;
+
+use esu_oracle::enumerate_connected_subgraphs_rooted;
+use motif_finder::{grow_frequent_subgraphs, DenseEsuWalker, GrowthConfig, GrowthReport};
 use ppi_graph::{AdjBits, Graph, VertexId};
 use proptest::prelude::*;
 

@@ -1,7 +1,11 @@
 //! Property-based tests for the motif-finding substrate.
 
+#[path = "support/esu_oracle.rs"]
+mod esu_oracle;
+
+use esu_oracle::count_connected_subgraphs;
 use motif_finder::{
-    classify_size_k, count_connected_subgraphs, count_occurrences, grow_frequent_subgraphs,
+    classify_size_k, count_occurrences, grow_frequent_subgraphs,
     subgraph_match::interchangeable_classes, GrowthConfig, Motif,
 };
 use ppi_graph::{Graph, VertexId};

@@ -17,8 +17,6 @@
 //!   ([`automorphism`]);
 //! * random graph models and the degree-preserving edge-swap
 //!   randomization required by motif uniqueness testing ([`random`]);
-//! * directed graphs with directed isomorphism/orbit machinery for the
-//!   paper's future-work extension ([`digraph`]);
 //! * named PPI networks and an edge-list interchange format ([`io`]);
 //! * validated edge deltas for incremental interactome revisions
 //!   ([`delta`]).
@@ -28,7 +26,6 @@ pub mod automorphism;
 pub mod bits;
 pub mod canonical;
 pub mod delta;
-pub mod digraph;
 pub mod graph;
 pub mod io;
 pub mod isomorphism;
@@ -36,10 +33,6 @@ pub mod random;
 pub mod refinement;
 
 pub use automorphism::{automorphism_orbits, symmetric_vertex_sets};
-pub use digraph::{
-    are_digraphs_isomorphic, directed_automorphism_orbits, directed_interchangeable_classes,
-    find_digraph_isomorphism, DiGraph,
-};
 pub use bits::AdjBits;
 pub use canonical::{
     canonical_form, canonical_graph, canonical_labeling, small_adjacency_bits,

@@ -109,46 +109,6 @@ pub fn degree_preserving_shuffle<R: Rng>(g: &Graph, swaps_per_edge: usize, rng: 
     out
 }
 
-/// Degree-preserving randomization for digraphs: arc swaps
-/// `a→b, c→d ⇒ a→d, c→b` preserve every vertex's in- and out-degree
-/// exactly [Milo et al. 2002]. Used by directed motif uniqueness
-/// testing.
-pub fn directed_degree_preserving_shuffle<R: Rng>(
-    g: &crate::digraph::DiGraph,
-    swaps_per_arc: usize,
-    rng: &mut R,
-) -> crate::digraph::DiGraph {
-    let mut out = g.clone();
-    let mut arcs: Vec<(VertexId, VertexId)> = out.arcs().collect();
-    if arcs.len() < 2 {
-        return out;
-    }
-    let attempts = swaps_per_arc * arcs.len();
-    for _ in 0..attempts {
-        let i = rng.gen_range(0..arcs.len());
-        let j = rng.gen_range(0..arcs.len());
-        if i == j {
-            continue;
-        }
-        let (a, b) = arcs[i];
-        let (c, d) = arcs[j];
-        // New arcs a→d and c→b: no self-loops, no duplicates.
-        if a == d || c == b {
-            continue;
-        }
-        if out.has_arc(a, d) || out.has_arc(c, b) {
-            continue;
-        }
-        out.remove_arc(a, b);
-        out.remove_arc(c, d);
-        out.add_arc(a, d);
-        out.add_arc(c, b);
-        arcs[i] = (a, d);
-        arcs[j] = (c, b);
-    }
-    out
-}
-
 /// Uniformly sample `k` distinct vertices.
 pub fn sample_vertices<R: Rng>(g: &Graph, k: usize, rng: &mut R) -> Vec<VertexId> {
     let mut all: Vec<VertexId> = g.vertices().collect();
@@ -218,32 +178,6 @@ mod tests {
         let s = degree_preserving_shuffle(&g, 10, &mut rng);
         assert_eq!(s.edge_count(), 1);
         assert!(s.has_edge(VertexId(0), VertexId(1)));
-    }
-
-    #[test]
-    fn directed_shuffle_preserves_in_and_out_degrees() {
-        use crate::digraph::DiGraph;
-        let mut rng = SmallRng::seed_from_u64(8);
-        // A directed network: chain + fan-outs.
-        let mut arcs = Vec::new();
-        for i in 0..50u32 {
-            arcs.push((i, (i + 1) % 50));
-            arcs.push((i, (i + 7) % 50));
-            if i % 3 == 0 {
-                arcs.push(((i + 2) % 50, i));
-            }
-        }
-        let g = DiGraph::from_arcs(50, &arcs);
-        let s = directed_degree_preserving_shuffle(&g, 10, &mut rng);
-        assert_eq!(g.arc_count(), s.arc_count());
-        for v in g.vertices() {
-            assert_eq!(g.in_degree(v), s.in_degree(v), "in-degree of {v}");
-            assert_eq!(g.out_degree(v), s.out_degree(v), "out-degree of {v}");
-        }
-        // And the arcs actually moved.
-        let before: std::collections::HashSet<_> = g.arcs().collect();
-        let moved = s.arcs().filter(|a| !before.contains(a)).count();
-        assert!(moved > 20, "only {moved} arcs moved");
     }
 
     #[test]

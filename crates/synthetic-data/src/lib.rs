@@ -8,13 +8,10 @@
 //! * [`annotate`] — structure-correlated annotation generator;
 //! * [`yeast`] — BIND-scale interactome (4141 proteins / 7095 edges);
 //! * [`mips`] — MIPS-scale dataset (1877 proteins / 2448 interactions,
-//!   13 top functional categories) for the Fig. 9 prediction benchmark;
-//! * [`grn`] — a directed gene regulatory network with planted
-//!   feed-forward loops and bi-fans for the directed-motif extension.
+//!   13 top functional categories) for the Fig. 9 prediction benchmark.
 
 pub mod annotate;
 pub mod go_gen;
-pub mod grn;
 pub mod mips;
 pub mod modules;
 pub mod paper_example;
@@ -22,7 +19,6 @@ pub mod yeast;
 
 pub use annotate::{annotate_network, pick_themes, AnnotateConfig, ModuleTheme};
 pub use go_gen::{generate_ontology, leaf_terms, top_categories, GoGenConfig};
-pub use grn::{DirectedModule, DirectedModuleKind, GrnConfig, GrnDataset};
 pub use mips::{MipsConfig, MipsDataset};
 pub use modules::{add_background, plant_modules, ModuleKind, PlantedModule};
 pub use paper_example::PaperExample;

@@ -2,7 +2,8 @@
 //! build an immutable `ModelArtifact`, persist it in the checksummed
 //! binary format, load it back, and answer queries from concurrent
 //! worker threads — verifying along the way that every served answer is
-//! byte-identical to the full-scan `LabeledMotifPredictor` oracle.
+//! byte-identical to the ranking of the evaluation predictor,
+//! `LabeledMotifPredictor`.
 //!
 //! ```bash
 //! cargo run --release --example serving
@@ -105,7 +106,7 @@ fn main() {
     let proteins: Vec<usize> = (0..data.network.vertex_count()).collect();
     let answers = server.query_batch(&proteins);
 
-    // Every served answer matches the full-scan oracle bit for bit.
+    // Every served answer matches the evaluation predictor bit for bit.
     let oracle = LabeledMotifPredictor::new(labeled).predict_all(&ctx);
     let mut want = Vec::new();
     for (p, answer) in answers.iter().enumerate() {
@@ -130,6 +131,9 @@ fn main() {
             .map(|&(c, s)| (data.categories[c as usize], s))
             .collect::<Vec<_>>()
     );
-    println!("all {} served answers byte-identical to the full-scan oracle", answers.len());
+    println!(
+        "all {} served answers byte-identical to the evaluation predictor",
+        answers.len()
+    );
     server.shutdown();
 }

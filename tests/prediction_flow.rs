@@ -2,6 +2,10 @@
 //! small MIPS-style dataset — motif discovery → labeling → LMS-weighted
 //! prediction, evaluated leave-one-out against all four baselines.
 
+#[path = "../crates/function-prediction/tests/support/full_scan.rs"]
+mod full_scan;
+
+use full_scan::full_scan_scores;
 use function_prediction::{
     rank_scores, Chi2Predictor, FunctionPredictor, LabeledMotifPredictor, LeaveOneOut,
     MrfPredictor, NeighborCountingPredictor, PredictionContext, ProdistinPredictor,
@@ -192,7 +196,7 @@ fn motif_predictor_outranks_neighbor_counting_on_regulon_targets() {
 fn served_answers_equal_the_full_scan_ranking() {
     // The serving path end to end: compile the artifact from the labeled
     // motifs, serve every protein, and hold each answer bitwise to the
-    // full-scan predictor's ranking and each query's ticks to its
+    // full scan's ranking and each query's ticks to its
     // postings.
     let w = world();
     let ctx = PredictionContext {
@@ -201,7 +205,7 @@ fn served_answers_equal_the_full_scan_ranking() {
         n_categories: w.dataset.categories.len(),
         category_terms: &w.dataset.categories,
     };
-    let oracle = LabeledMotifPredictor::new(w.labeled.clone()).predict_all(&ctx);
+    let oracle = full_scan_scores(&w.labeled, &ctx);
     let artifact = Arc::new(ModelArtifact::build(&w.labeled, &ctx));
     let n = artifact.protein_count();
     assert_eq!(oracle.len(), n);
